@@ -1,12 +1,10 @@
-"""Both kernel backends must be interchangeable.
+"""The kernels in ``descents.backend`` against the brute-force oracles.
 
-The pure-Python module always imports, and its checks against the
-brute-force oracles always run.  The compiled one may be missing (source
-install without a compiler): then the cases parametrized on it skip, and
-the parity comparisons inside the mixed tests are left out, because there
-is nothing to compare with.
+Each kernel is checked against ``tests/_oracles.py``, which shares no code
+with it, together with its overflow, range, margin and order contracts.
 """
 
+import ast
 import itertools
 import math
 import os
@@ -16,19 +14,10 @@ import sys
 
 import pytest
 
+import descents
 from descents import backend
-from descents import _kernels_py as pure
 
 from _oracles import brute_tables, naive_convolve
-
-try:
-    from descents import _kernels as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled kernels unavailable")
-KERNELS = [pure, pytest.param(compiled, marks=needs_compiled)]
 
 
 def random_items(n, count, rng, lo=-9, hi=9):
@@ -44,10 +33,8 @@ def as_dict(items):
 
 
 def test_active_backend_is_reported():
-    assert backend.backend_name() in ("pure", "cython")
-    assert pure.BACKEND == "pure"
-    if compiled is not None:
-        assert compiled.BACKEND == "cython"
+    assert backend.backend_name() == "pure"
+    assert descents.backend_name() == "pure"
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
@@ -55,15 +42,12 @@ def test_convolve_parity_dense(n):
     rng = random.Random(100 + n)
     a = random_items(n, 8, rng)
     b = random_items(n, 8, rng)
-    got_pure = pure.convolve(n, a, b)
-    if compiled is not None:
-        got_comp = compiled.convolve(n, a, b)
-        assert got_pure == got_comp
-    assert got_pure == naive_convolve(as_dict(a).items(), as_dict(b).items())
+    got = backend.convolve(n, a, b)
+    assert got == naive_convolve(as_dict(a).items(), as_dict(b).items())
 
 
 def test_convolve_parity_sparse_path():
-    # degree 10 exercises the dict-keyed path in the compiled kernel
+    # degree 10: few terms spread over a group of 3 628 800 elements
     n, rng = 10, random.Random(77)
     base = list(range(1, n + 1))
     def pick():
@@ -72,37 +56,28 @@ def test_convolve_parity_sparse_path():
         return tuple(images)
     a = [(pick(), rng.randint(-4, 4)) for _ in range(12)]
     b = [(pick(), rng.randint(-4, 4)) for _ in range(12)]
-    got_pure = pure.convolve(n, a, b)
-    if compiled is not None:
-        got_comp = compiled.convolve(n, a, b)
-        assert got_pure == got_comp
-    assert got_pure == naive_convolve(as_dict(a).items(), as_dict(b).items())
+    got = backend.convolve(n, a, b)
+    assert got == naive_convolve(as_dict(a).items(), as_dict(b).items())
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_convolve_overflow(kernel):
+def test_convolve_overflow():
     items = [((2, 1), 2**62)]
     with pytest.raises(OverflowError):
-        kernel.convolve(2, items, items)
+        backend.convolve(2, items, items)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_convolve_coefficient_range_check(kernel):
+def test_convolve_coefficient_range_check():
     good = [((1, 2), 1)]
     bad = [((1, 2), 2**63)]
     with pytest.raises(OverflowError):
-        kernel.convolve(2, bad, good)
+        backend.convolve(2, bad, good)
 
 
 def test_convolve_cancellation():
     a = [((2, 1, 3), 5), ((1, 2, 3), -1)]
     b = [((1, 2, 3), 1)]
     c = [((2, 1, 3), -5), ((1, 2, 3), 1)]
-    for kernel in (pure, compiled):
-        if kernel is None:
-            continue
-        combined = kernel.convolve(3, a + c, b)
-        assert combined == {}
+    assert backend.convolve(3, a + c, b) == {}
 
 
 TABLE_CASES = [
@@ -118,12 +93,9 @@ TABLE_CASES = [
 
 @pytest.mark.parametrize("nu,kappa", TABLE_CASES)
 def test_enumerate_tables_parity_and_brute_force(nu, kappa):
-    got_pure = pure.enumerate_tables(nu, kappa)
-    if compiled is not None:
-        got_comp = compiled.enumerate_tables(nu, kappa)
-        assert got_pure == got_comp
-    assert set(got_pure) == brute_tables(nu, kappa)
-    assert len(set(got_pure)) == len(got_pure)
+    got = backend.enumerate_tables(nu, kappa)
+    assert set(got) == brute_tables(nu, kappa)
+    assert len(set(got)) == len(got)
 
 
 @pytest.mark.parametrize("nu,kappa", TABLE_CASES)
@@ -131,59 +103,51 @@ def test_enumerate_tables_order(nu, kappa):
     # emission order: flattened row-major entries, lexicographically
     # decreasing
     flat = [tuple(v for row in t for v in row)
-            for t in pure.enumerate_tables(nu, kappa)]
+            for t in backend.enumerate_tables(nu, kappa)]
     assert flat == sorted(flat, reverse=True)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_enumerate_tables_margin_validation(kernel):
+def test_enumerate_tables_margin_validation():
     with pytest.raises(ValueError):
-        kernel.enumerate_tables((2, 1), (4,))
+        backend.enumerate_tables((2, 1), (4,))
     with pytest.raises(ValueError):
-        kernel.enumerate_tables((0, 3), (3,))
+        backend.enumerate_tables((0, 3), (3,))
     with pytest.raises(ValueError):
-        kernel.enumerate_tables((), ())
+        backend.enumerate_tables((), ())
 
 
 @pytest.mark.parametrize("nu,kappa", TABLE_CASES)
 def test_reading_word_counts_parity(nu, kappa):
     n = sum(nu)
-    got_pure = pure.reading_word_counts(nu, kappa, n)
-    if compiled is not None:
-        got_comp = compiled.reading_word_counts(nu, kappa, n)
-        assert got_pure == got_comp
-    assert all(0 <= mask < (1 << (n - 1)) for mask in got_pure)
-    assert sum(got_pure.values()) == len(pure.enumerate_tables(nu, kappa))
+    got = backend.reading_word_counts(nu, kappa, n)
+    assert all(0 <= mask < (1 << (n - 1)) for mask in got)
+    assert all(got.values())
+    assert sum(got.values()) == len(brute_tables(nu, kappa))
 
 
 @pytest.mark.parametrize("nu,kappa", TABLE_CASES)
 def test_sum_reading_multinomials_parity(nu, kappa):
     n = sum(nu)
-    if compiled is not None:
-        assert (pure.sum_reading_multinomials(nu, kappa, n)
-                == compiled.sum_reading_multinomials(nu, kappa, n))
     # from the definition: a table's reading word eta is its non-zero
     # entries read row by row
-    assert pure.sum_reading_multinomials(nu, kappa, n) == sum(
+    assert backend.sum_reading_multinomials(nu, kappa, n) == sum(
         math.factorial(n) // math.prod(math.factorial(eta_i)
                                        for row in table for eta_i in row
                                        if eta_i)
         for table in brute_tables(nu, kappa))
 
 
-def test_forced_pure_backend_subprocess():
-    env = dict(os.environ, DESCENTS_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from descents import backend; print(backend.backend_name())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "pure"
-
-
-def test_backend_dispatch_matches_active_module():
-    name = backend.backend_name()
-    module = compiled if name == "cython" else pure
-    assert backend.convolve is module.convolve
-    assert backend.enumerate_tables is module.enumerate_tables
-    assert backend.reading_word_counts is module.reading_word_counts
-    assert backend.sum_reading_multinomials is module.sum_reading_multinomials
+def test_reading_word_counts_sparse_at_degree_30():
+    # one table each; a dense tally over all 2**29 masks would need 4 GiB,
+    # so the calls run in a child capped at 1 GiB of address space
+    code = ("import resource; cap = 1 << 30; "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+            "from descents import backend; "
+            "print([backend.reading_word_counts((30,), (30,), 30), "
+            "backend.reading_word_counts((29, 1), (30,), 30)])")
+    src = os.path.dirname(os.path.dirname(backend.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert ast.literal_eval(out.stdout) == [{0: 1}, {1 << 28: 1}]
