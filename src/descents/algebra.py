@@ -27,7 +27,6 @@ from . import backend
 from .combinatorics import (
     Composition,
     _mask_to_parts,
-    _parts_to_mask,
     all_compositions,
     composition_to_subset,
 )

@@ -1,5 +1,10 @@
 """The hot kernels: group-algebra convolution and the margin-table sweeps.
 
+A basis product needs only how many margin tables have each reading word,
+and the counting identity weights those same counts, so both rest on one
+memoised row sweep, :func:`reading_word_counts`.  :func:`enumerate_tables`
+is the only walk over single tables, for callers that need the tables.
+
 Conventions:
 
 * permutations are tuples of images in one-line notation, values ``1..n``;
@@ -105,55 +110,14 @@ def reading_word_counts(row_margins, col_margins, n):
     off the non-zero entries row by row (partial-sum bits, see module
     docstring).  This is the whole content of a basis product: the table
     shapes are forgotten, only their reading words are tallied.
-    """
-    _check_margins(row_margins, col_margins)
-    if sum(row_margins) != n:
-        raise ValueError("margins must be margins of compositions of n")
-    s, r = len(row_margins), len(col_margins)
-    col_rem = list(col_margins)
-    later_rows = [sum(row_margins[i + 1:]) for i in range(s)]
-    counts = {}
 
-    def rec(i, j, row_rem, later_cols, acc, mask):
-        if j == r:
-            if i + 1 == s:
-                counts[mask] = counts.get(mask, 0) + 1
-            else:
-                rec(i + 1, 0, row_margins[i + 1], sum(col_rem) - col_rem[0],
-                    acc, mask)
-            return
-        crj = col_rem[j]
-        hi = row_rem if row_rem < crj else crj
-        lo = row_rem - later_cols
-        if crj - later_rows[i] > lo:
-            lo = crj - later_rows[i]
-        if lo < 0:
-            lo = 0
-        nxt_later = later_cols - (col_rem[j + 1] if j + 1 < r else 0)
-        for v in range(hi, lo - 1, -1):
-            col_rem[j] = crj - v
-            if v and acc + v < n:
-                rec(i, j + 1, row_rem - v, nxt_later, acc + v,
-                    mask | (1 << (acc + v - 1)))
-            else:
-                rec(i, j + 1, row_rem - v, nxt_later, acc + v, mask)
-        col_rem[j] = crj
-
-    rec(0, 0, row_margins[0], sum(col_margins) - col_margins[0], 0, 0)
-    return counts
-
-
-def sum_reading_multinomials(row_margins, col_margins, n):
-    """``sum over tables of n! / prod(eta_i!)`` for reading words ``eta``.
-
-    Used by the counting identity: the total must equal the product of the
-    two margin multinomials.  A table's weight ``n! / prod z_ij!`` factors
-    row by row as ``C(m, nu_i) * nu_i! / prod_j z_ij!``, with ``m`` the
-    total left for rows ``i`` onwards.  The sweep fills one row at a time
-    and memoises, per row index and remaining column sums, the weighted
-    sum over all fillings of the rows from there on.  Permuting those
-    columns permutes the fillings, weight for weight, so the key sorts the
-    sums and drops zeros.  The memo lives for one call; the sum is exact.
+    The sweep fills one row at a time, memoised for the call on the row
+    index and the column sums left, in column order with emptied columns
+    dropped.  The reading word's running sum at the start of row ``i`` is
+    ``n`` minus those sums, so the bits that rows ``i`` onwards set do not
+    depend on the path to the state; they are ORed onto the bits of each
+    filling that leads there.  Within a row, partial fillings merge on
+    (column sums left, row sum left, bits so far).
     """
     _check_margins(row_margins, col_margins)
     if sum(row_margins) != n:
@@ -161,24 +125,51 @@ def sum_reading_multinomials(row_margins, col_margins, n):
     memo = {}
 
     def sweep(i, cols):
-        key = (i, cols)
-        if key not in memo:
-            # fillings of row i so far, merged by (column sums left, row
-            # left), weighted by nu_i! / prod z_ij! = prod C(left, z_ij)
-            fills = {((), row_margins[i]): 1}
+        if (i, cols) not in memo:
             after = sum(cols)
+            # the reading word's running sum once row i is filled
+            row_end = n - after + row_margins[i]
+            fills = {((), row_margins[i], 0): 1}
             for c in cols:
                 after -= c
                 merged = {}
-                for (rest, left), w in fills.items():
+                for (rest, left, bits), k in fills.items():
                     for z in range(max(left - after, 0), min(left, c) + 1):
-                        k = (rest + (c - z,) if z < c else rest, left - z)
-                        merged[k] = merged.get(k, 0) + w * math.comb(left, z)
+                        at = row_end - left + z
+                        state = (rest + (c - z,) if z < c else rest, left - z,
+                                 bits | 1 << (at - 1) if z and at < n
+                                 else bits)
+                        merged[state] = merged.get(state, 0) + k
                 fills = merged
-            # an empty rest means row i was the last one
-            total = sum(w * (sweep(i + 1, tuple(sorted(rest))) if rest else 1)
-                        for (rest, _), w in fills.items())
-            memo[key] = math.comb(sum(cols), row_margins[i]) * total
-        return memo[key]
+            counts = {}
+            for (rest, _, bits), k in fills.items():
+                # an empty rest means row i was the last one
+                for mask, m in (sweep(i + 1, rest).items() if rest
+                                else ((0, 1),)):
+                    counts[bits | mask] = counts.get(bits | mask, 0) + k * m
+            memo[i, cols] = counts
+        return memo[i, cols]
 
-    return sweep(0, tuple(sorted(col_margins)))
+    return sweep(0, tuple(col_margins))
+
+
+# the counting identity reads the counts through this binding, so that a
+# wrapper around the public name sees only the product calls
+_reading_word_counts = reading_word_counts
+
+
+def sum_reading_multinomials(row_margins, col_margins, n):
+    """``sum over tables of n! / prod(eta_i!)`` for reading words ``eta``.
+
+    Used by the counting identity: the total must equal the product of the
+    two margin multinomials.  Each reading word's multinomial is weighted
+    by its count from :func:`reading_word_counts`; the sum is exact.
+    """
+    counts = _reading_word_counts(row_margins, col_margins, n)
+    fact = [math.factorial(k) for k in range(n + 1)]
+    total = 0
+    for mask, count in counts.items():
+        cuts = [0] + [i for i in range(1, n) if mask >> (i - 1) & 1] + [n]
+        total += count * (fact[n] // math.prod(
+            fact[b - a] for a, b in zip(cuts, cuts[1:])))
+    return total

@@ -16,7 +16,7 @@ composition of n; the correspondence is bijective.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import backend
 from .perms import Permutation
@@ -315,15 +315,6 @@ def composition_to_subset(kappa: Composition) -> GeneratorSubset:
     sums = set(itertools.accumulate(kappa.parts[:-1]))
     return GeneratorSubset(kappa.n,
                            (i for i in range(1, kappa.n) if i not in sums))
-
-
-def _parts_to_mask(parts: Sequence[int], n: int) -> int:
-    mask = 0
-    acc = 0
-    for p in parts[:-1]:
-        acc += p
-        mask |= 1 << (acc - 1)
-    return mask
 
 
 def _mask_to_parts(mask: int, n: int) -> tuple[int, ...]:

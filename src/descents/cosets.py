@@ -101,13 +101,23 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
             yield x
 
 
-def _check_double_rep(x: Permutation, j: GeneratorSubset,
-                      k: GeneratorSubset) -> None:
+def _pulled_blocks(
+        x: Permutation, j: GeneratorSubset, k: GeneratorSubset
+) -> tuple[list[frozenset[int]], tuple[tuple[int, ...], ...]]:
+    """Check that x is a double representative of the pair, then return the
+    pulled blocks ``x^{-1}(J_q)`` and the blocks ``K_m``, each in the order
+    of their subset graph's ordered presentation."""
     if x.n != j.n or j.n != k.n:
         raise ValueError("degree mismatch")
-    if not (is_left_rep(x, k) and is_left_rep(x.inverse(), j)):
+    xinv = x.inverse()
+    if not (is_left_rep(x, k) and is_left_rep(xinv, j)):
         raise ValueError(
             f"{x.to_text()} is not a double representative for the given pair")
+    j_blocks = ordered_presentation(graph_of_subset(j)).blocks
+    k_blocks = ordered_presentation(graph_of_subset(k)).blocks
+    xi = xinv.images
+    return ([frozenset(xi[u - 1] for u in block) for block in j_blocks],
+            k_blocks)
 
 
 def intersection_table(x: Permutation, j: GeneratorSubset,
@@ -120,11 +130,7 @@ def intersection_table(x: Permutation, j: GeneratorSubset,
     J, and on the double set the map is a bijection onto all margin
     matrices.
     """
-    _check_double_rep(x, j, k)
-    j_blocks = ordered_presentation(graph_of_subset(j)).blocks
-    k_blocks = ordered_presentation(graph_of_subset(k)).blocks
-    xi = x.inverse().images
-    pulled = [frozenset(xi[u - 1] for u in block) for block in j_blocks]
+    pulled, k_blocks = _pulled_blocks(x, j, k)
     entries = [[sum(1 for v in pb if v in km) for pb in pulled]
                for km in (set(b) for b in k_blocks)]
     return MarginMatrix(entries,
@@ -136,11 +142,7 @@ def predicted_presentation(x: Permutation, j: GeneratorSubset,
     """The intersections ``x^{-1}(J_q) & K_m`` listed q-inner, empty ones
     dropped.  For a double representative this lists the components of the
     intersection graph in least-element order."""
-    _check_double_rep(x, j, k)
-    j_blocks = ordered_presentation(graph_of_subset(j)).blocks
-    k_blocks = ordered_presentation(graph_of_subset(k)).blocks
-    xi = x.inverse().images
-    pulled = [frozenset(xi[u - 1] for u in block) for block in j_blocks]
+    pulled, k_blocks = _pulled_blocks(x, j, k)
     blocks = []
     for km in k_blocks:
         kset = set(km)
