@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import descents.cli as cli
+import descents.cosets
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +108,18 @@ def test_verify_single_scope(capsys):
     assert rc == 0
     assert out == ("lemma: PASS (pairs=64, witnesses=281, failures=0)\n"
                    "overall: PASS\n")
+
+
+def test_verify_lemma_counts_bijection_failures(capsys, monkeypatch):
+    # drop each pair's last margin matrix: the witness that hits it is
+    # reported once per pair
+    real = descents.cosets.contingency_tables
+    monkeypatch.setattr(descents.cosets, "contingency_tables",
+                        lambda rows, cols: list(real(rows, cols))[:-1])
+    rc, out, _ = run_cli(capsys, "verify", "3", "--lemma")
+    assert rc == 1
+    assert out == ("lemma: FAIL (pairs=16, witnesses=33, failures=16)\n"
+                   "overall: FAIL\n")
 
 
 def test_verify_all_skips_parabolic_above_five(capsys):

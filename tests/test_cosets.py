@@ -8,7 +8,7 @@ import descents.cosets
 from descents import (
     Composition,
     GeneratorSubset,
-    OrderedPresentation,
+    MarginMatrix,
     Permutation,
     all_generator_subsets,
     contingency_tables,
@@ -173,7 +173,7 @@ def test_verify_pair_parabolic_auto_off_above_five():
     report = verify_subset_pair(GeneratorSubset(6, {1, 2}),
                                 GeneratorSubset(6, {4}))
     assert report.passed
-    assert report.checks == ("presentation", "reading-word")
+    assert report.checks == ("presentation", "reading-word", "bijection")
 
 
 def test_verify_pair_bound_and_override():
@@ -195,23 +195,47 @@ def test_verify_pair_report_text_and_record():
     assert rec["passed"] is True
     assert rec["witnesses"] == 2
     assert rec["failures"] == []
-    assert rec["checks"] == ["presentation", "reading-word", "parabolic"]
+    assert rec["checks"] == ["presentation", "reading-word", "bijection",
+                             "parabolic"]
 
 
 def test_verify_pair_collects_failures(monkeypatch):
-    # force a wrong prediction to exercise the failure plumbing
-    def bogus(x, j, k):
-        return OrderedPresentation([list(range(1, j.n + 1))])
-
-    monkeypatch.setattr(descents.cosets, "predicted_presentation", bogus)
+    # force wrong components to exercise the failure plumbing: the
+    # "intersection graph" is graph K itself, whatever x is
+    monkeypatch.setattr(descents.cosets, "intersect", lambda g, h: h)
     j = GeneratorSubset(4, {})
-    k = GeneratorSubset(4, {})
+    k = GeneratorSubset(4, {2})
     report = verify_subset_pair(j, k, max_failures=5)
     assert not report.passed
-    assert report.witnesses == 24
+    assert report.witnesses == 12
     assert report.failure_count > 5
     assert len(report.failures) == 5
     assert report.failures[0].check in ("presentation", "reading-word")
     text = report.to_text()
     assert text.startswith("FAIL")
     assert "more" in text
+
+
+def test_verify_pair_bijection_names_missing_and_extra_tables(monkeypatch):
+    # J={2}, K={1} at n=3: two witnesses, two tables (see the small example)
+    j = GeneratorSubset(3, {2})
+    k = GeneratorSubset(3, {1})
+    real = list(contingency_tables(subset_to_composition(k),
+                                   subset_to_composition(j)))
+    dropped = real[-1]
+    monkeypatch.setattr(descents.cosets, "contingency_tables",
+                        lambda rows, cols: iter(real[:-1]))
+    report = verify_subset_pair(j, k)
+    assert not report.passed
+    assert [f.check for f in report.failures] == ["bijection"]
+    assert dropped.to_text() in report.failures[0].detail
+    assert report.failures[0].x_text != "-"
+
+    extra = MarginMatrix.from_entries([[3]])
+    monkeypatch.setattr(descents.cosets, "contingency_tables",
+                        lambda rows, cols: iter(real + [extra]))
+    report = verify_subset_pair(j, k)
+    assert not report.passed
+    assert [f.check for f in report.failures] == ["bijection"]
+    assert report.failures[0].x_text == "-"
+    assert extra.to_text() in report.failures[0].detail
