@@ -37,6 +37,7 @@ from .perms import (
     Permutation,
     algebra_multiply,
     check_coefficient,
+    check_degree,
 )
 
 #: Version stamp for the structured export format.
@@ -198,10 +199,7 @@ def to_group_algebra(a: DescentElement,
     then sweeps S_n once.
     """
     n = a.n
-    limit = ORACLE_DEGREE_DEFAULT if max_degree is None else max_degree
-    if n > limit:
-        raise ValueError(
-            f"degree {n} above bound {limit}; pass max_degree to override")
+    check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
     masks = []
     for comp, coeff in a.terms.items():
         required = composition_to_subset(comp).members
@@ -291,12 +289,9 @@ def structure_constants(
         n: int, max_degree: int | None = None
 ) -> list[tuple[Composition, Composition, DescentElement]]:
     """Every ordered basis product, pairs in subset order."""
-    limit = BASIS_DEGREE_MAX if max_degree is None else max_degree
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if n > limit:
-        raise ValueError(
-            f"degree {n} above bound {limit}; pass max_degree to override")
+    check_degree(n, max_degree, BASIS_DEGREE_MAX)
     comps = all_compositions(n)
     return [(kappa, nu, solomon_multiply(kappa, nu))
             for kappa in comps for nu in comps]

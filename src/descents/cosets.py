@@ -24,12 +24,13 @@ from .combinatorics import (
     GeneratorSubset,
     MarginMatrix,
     OrderedPresentation,
+    contingency_tables,
     graph_of_subset,
     intersect,
     ordered_presentation,
     subset_to_composition,
 )
-from .perms import Permutation
+from .perms import Permutation, check_degree
 
 #: Representative enumeration is output-linear but outputs can reach n!,
 #: so the degree is capped unless the caller raises the bound.
@@ -82,10 +83,7 @@ def enumerate_left_reps(k: GeneratorSubset,
     filtering all of S_n); the count is ``n!`` over the product of the
     factorials of the component sizes.
     """
-    limit = BASIS_DEGREE_MAX if max_degree is None else max_degree
-    if k.n > limit:
-        raise ValueError(
-            f"degree {k.n} above bound {limit}; pass max_degree to override")
+    check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
     parts = subset_to_composition(k).parts
     for images in _rep_images(k.n, parts):
         yield Permutation(images, check=False)
@@ -101,12 +99,19 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
             yield x
 
 
-def _pulled_blocks(
-        x: Permutation, j: GeneratorSubset, k: GeneratorSubset
-) -> tuple[list[frozenset[int]], tuple[tuple[int, ...], ...]]:
-    """Check that x is a double representative of the pair, then return the
-    pulled blocks ``x^{-1}(J_q)`` and the blocks ``K_m``, each in the order
-    of their subset graph's ordered presentation."""
+def _intersections(xinv: Permutation, j_blocks,
+                   k_sets) -> list[list[set[int]]]:
+    """``x^{-1}(J_q) & K_m``: one row per K block, one entry per J block."""
+    xi = xinv.images
+    pulled = [{xi[u - 1] for u in block} for block in j_blocks]
+    return [[pb & km for pb in pulled] for km in k_sets]
+
+
+def _block_intersections(x: Permutation, j: GeneratorSubset,
+                         k: GeneratorSubset) -> list[list[set[int]]]:
+    """Check that x is a double representative of the pair, then return
+    its block intersections, with ``J_q`` and ``K_m`` in the order of
+    their subset graph's ordered presentation."""
     if x.n != j.n or j.n != k.n:
         raise ValueError("degree mismatch")
     xinv = x.inverse()
@@ -115,9 +120,7 @@ def _pulled_blocks(
             f"{x.to_text()} is not a double representative for the given pair")
     j_blocks = ordered_presentation(graph_of_subset(j)).blocks
     k_blocks = ordered_presentation(graph_of_subset(k)).blocks
-    xi = xinv.images
-    return ([frozenset(xi[u - 1] for u in block) for block in j_blocks],
-            k_blocks)
+    return _intersections(xinv, j_blocks, [set(b) for b in k_blocks])
 
 
 def intersection_table(x: Permutation, j: GeneratorSubset,
@@ -130,10 +133,8 @@ def intersection_table(x: Permutation, j: GeneratorSubset,
     J, and on the double set the map is a bijection onto all margin
     matrices.
     """
-    pulled, k_blocks = _pulled_blocks(x, j, k)
-    entries = [[sum(1 for v in pb if v in km) for pb in pulled]
-               for km in (set(b) for b in k_blocks)]
-    return MarginMatrix(entries,
+    rows = _block_intersections(x, j, k)
+    return MarginMatrix([[len(c) for c in row] for row in rows],
                         subset_to_composition(k), subset_to_composition(j))
 
 
@@ -142,15 +143,8 @@ def predicted_presentation(x: Permutation, j: GeneratorSubset,
     """The intersections ``x^{-1}(J_q) & K_m`` listed q-inner, empty ones
     dropped.  For a double representative this lists the components of the
     intersection graph in least-element order."""
-    pulled, k_blocks = _pulled_blocks(x, j, k)
-    blocks = []
-    for km in k_blocks:
-        kset = set(km)
-        for pb in pulled:
-            inter = pb & kset
-            if inter:
-                blocks.append(sorted(inter))
-    return OrderedPresentation(blocks)
+    rows = _block_intersections(x, j, k)
+    return OrderedPresentation(c for row in rows for c in row if c)
 
 
 def _presentation_subgroup(blocks) -> set[Permutation]:
@@ -225,15 +219,21 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                        parabolic: bool | None = None,
                        max_failures: int = 10,
                        max_degree: int | None = None) -> PairReport:
-    """Check every double representative of a pair against three claims.
+    """Check every double representative of a pair against four claims.
 
-    For each x in the double set:
+    The block intersections ``x^{-1}(J_q) & K_m`` of each witness x give
+    its predicted presentation (the non-empty ones, q inner) and its
+    intersection table (their sizes).
 
-    * ``presentation`` - the predicted block intersections equal the
-      ordered presentation of the intersection graph
-      ``x^{-1}(graph J) & graph K`` computed independently by union-find;
-    * ``reading-word`` - the predicted block sizes equal the reading word
-      of the intersection table of x;
+    * ``presentation`` - the predicted presentation equals the ordered
+      presentation of the intersection graph ``x^{-1}(graph J) & graph K``,
+      computed independently by union-find;
+    * ``reading-word`` - the block sizes of that computed presentation
+      equal the reading word of the intersection table of x;
+    * ``bijection`` - no two witnesses share a table, and the tables hit
+      are exactly the margin matrices of the pair: each repeated, missing
+      or foreign table is one failure naming it (x ``-`` when no witness
+      hits it);
     * ``parabolic`` (degree <= 5 unless forced) - conjugating the Young
       subgroup of J by x and intersecting with the Young subgroup of K
       yields exactly the Young subgroup of the intersection graph.
@@ -244,14 +244,11 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     if j.n != k.n:
         raise ValueError("degree mismatch")
     n = j.n
-    limit = LEMMA_DEGREE_DEFAULT if max_degree is None else max_degree
-    if n > limit:
-        raise ValueError(
-            f"degree {n} above bound {limit}; pass max_degree to override")
+    check_degree(n, max_degree, LEMMA_DEGREE_DEFAULT)
     if parabolic is None:
         parabolic = n <= PARABOLIC_DEGREE_DEFAULT
 
-    checks = ["presentation", "reading-word"]
+    checks = ["presentation", "reading-word", "bijection"]
     if parabolic:
         checks.append("parabolic")
     report = PairReport(n, j.sorted_members(), k.sorted_members(),
@@ -259,44 +256,67 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
 
     j_graph = graph_of_subset(j)
     k_graph = graph_of_subset(k)
+    j_blocks = ordered_presentation(j_graph).blocks
+    k_sets = [set(b) for b in ordered_presentation(k_graph).blocks]
+    kappa = subset_to_composition(j)
+    nu = subset_to_composition(k)
     if parabolic:
-        j_subgroup = _presentation_subgroup(
-            ordered_presentation(j_graph).blocks)
-        k_blocks = [set(b) for b in ordered_presentation(k_graph).blocks]
+        j_subgroup = _presentation_subgroup(j_blocks)
 
-    def fail(x: Permutation, check: str, detail: str) -> None:
+    def fail(x: Permutation | None, check: str, detail: str) -> None:
         report.failure_count += 1
         if len(report.failures) < max_failures:
-            report.failures.append(PairFailure(x.to_text(), check, detail))
+            x_text = "-" if x is None else x.to_text()
+            report.failures.append(PairFailure(x_text, check, detail))
 
+    hit: dict[MarginMatrix, Permutation] = {}
     for x in enumerate_double_set(j, k):
         report.witnesses += 1
+        xinv = x.inverse()
         computed = ordered_presentation(
-            intersect(j_graph.image_under(x.inverse()), k_graph))
+            intersect(j_graph.image_under(xinv), k_graph))
+        rows = _intersections(xinv, j_blocks, k_sets)
         try:
-            predicted = predicted_presentation(x, j, k)
+            predicted = OrderedPresentation(
+                c for row in rows for c in row if c)
         except ValueError as exc:
             fail(x, "presentation", f"prediction rejected: {exc}")
-            continue
-        if predicted != computed:
-            fail(x, "presentation",
-                 f"predicted {predicted.to_text()} "
-                 f"but components are {computed.to_text()}")
-        word = intersection_table(x, j, k).reading_word()
-        if predicted.block_sizes() != word.parts:
+        else:
+            if predicted != computed:
+                fail(x, "presentation",
+                     f"predicted {predicted.to_text()} "
+                     f"but components are {computed.to_text()}")
+        table = MarginMatrix([[len(c) for c in row] for row in rows],
+                             nu, kappa)
+        word = table.reading_word()
+        if computed.block_sizes() != word.parts:
             fail(x, "reading-word",
-                 f"block sizes {predicted.block_sizes()} "
+                 f"component sizes {computed.block_sizes()} "
                  f"!= reading word {word.parts}")
+        if table in hit:
+            fail(x, "bijection", f"table {table.to_text()} "
+                                 f"already hit by {hit[table].to_text()}")
+        else:
+            hit[table] = x
         if parabolic:
-            xinv = x.inverse()
             conjugated = set()
             for w in j_subgroup:
                 wc = xinv * w * x
-                if all({wc.images[v - 1] for v in b} == b for b in k_blocks):
+                if all({wc.images[v - 1] for v in b} == b for b in k_sets):
                     conjugated.add(wc)
             expected = _presentation_subgroup(computed.blocks)
             if conjugated != expected:
                 fail(x, "parabolic",
                      f"conjugated intersection has {len(conjugated)} "
                      f"elements, Young subgroup has {len(expected)}")
+
+    tables = list(contingency_tables(nu, kappa))
+    reference = set(tables)
+    for table, x in hit.items():
+        if table not in reference:
+            fail(x, "bijection",
+                 f"table {table.to_text()} is not a margin matrix of the pair")
+    for table in tables:
+        if table not in hit:
+            fail(None, "bijection", f"no witness hits table {table.to_text()}")
     return report

@@ -36,6 +36,14 @@ def check_coefficient(value: int) -> int:
     return value
 
 
+def check_degree(n: int, max_degree: int | None, default: int) -> None:
+    """Raise if ``n`` exceeds ``max_degree`` (``default`` when None)."""
+    limit = default if max_degree is None else max_degree
+    if n > limit:
+        raise ValueError(
+            f"degree {n} above bound {limit}; pass max_degree to override")
+
+
 class Permutation:
     """An element of the symmetric group S_n, immutable and hashable."""
 
@@ -134,12 +142,9 @@ def enumerate_group(n: int, max_degree: int | None = None) -> Iterator[Permutati
     Refuses degrees above :data:`ORACLE_DEGREE_DEFAULT` unless ``max_degree``
     raises the bound explicitly; the order of the group grows as n!.
     """
-    limit = ORACLE_DEGREE_DEFAULT if max_degree is None else max_degree
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if n > limit:
-        raise ValueError(
-            f"degree {n} above bound {limit}; pass max_degree to override")
+    check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation(images, check=False)
 
