@@ -99,8 +99,9 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
             yield x
 
 
-def _intersections(xinv: Permutation, j_blocks,
-                   k_sets) -> list[list[set[int]]]:
+def _intersections(
+        xinv: Permutation, j_blocks: tuple[tuple[int, ...], ...],
+        k_sets: list[set[int]]) -> list[list[set[int]]]:
     """``x^{-1}(J_q) & K_m``: one row per K block, one entry per J block."""
     xi = xinv.images
     pulled = [{xi[u - 1] for u in block} for block in j_blocks]

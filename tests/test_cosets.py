@@ -239,3 +239,20 @@ def test_verify_pair_bijection_names_missing_and_extra_tables(monkeypatch):
     assert [f.check for f in report.failures] == ["bijection"]
     assert report.failures[0].x_text == "-"
     assert extra.to_text() in report.failures[0].detail
+
+
+def test_verify_pair_bijection_names_repeated_table(monkeypatch):
+    # 213 is no left representative of K={1}, and its table [1 1; 0 1]
+    # is the one the witness 123 already hits
+    j = GeneratorSubset(3, {2})
+    k = GeneratorSubset(3, {1})
+    real = list(enumerate_double_set(j, k))
+    monkeypatch.setattr(
+        descents.cosets, "enumerate_double_set",
+        lambda j, k: iter(real + [Permutation.from_text("213")]))
+    report = verify_subset_pair(j, k, parabolic=False)
+    repeated = [f for f in report.failures if f.check == "bijection"]
+    assert len(repeated) == 1
+    assert repeated[0].x_text == "213"
+    assert "[1 1; 0 1]" in repeated[0].detail
+    assert "123" in repeated[0].detail
