@@ -16,6 +16,7 @@ from .algebra import (
     identity_element,
     left_rep_count,
     oracle_agrees,
+    oracle_mismatch,
     oracle_multiply,
     reading_multinomial_sum,
     solomon_multiply,
@@ -99,6 +100,7 @@ __all__ = [
     "is_left_rep",
     "left_rep_count",
     "oracle_agrees",
+    "oracle_mismatch",
     "oracle_multiply",
     "ordered_presentation",
     "predicted_presentation",

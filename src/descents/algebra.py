@@ -227,7 +227,8 @@ def to_group_algebra(a: DescentElement,
     return GroupAlgebraElement(n, terms, check=False)
 
 
-@lru_cache(maxsize=None)
+# 256 holds the indicators of all 127 compositions through n=7
+@lru_cache(maxsize=256)
 def _basis_indicator(n: int, parts: tuple[int, ...],
                      limit: int) -> GroupAlgebraElement:
     return to_group_algebra(
@@ -250,12 +251,29 @@ def oracle_multiply(kappa: Composition, nu: Composition,
     return algebra_multiply(a, b)
 
 
+def oracle_mismatch(kappa: Composition, nu: Composition,
+                    max_degree: int | None = None
+                    ) -> tuple[Permutation, int, int] | None:
+    """Where the margin-matrix product and the brute-force product differ.
+
+    ``None`` when they agree; otherwise ``(permutation, table_coefficient,
+    oracle_coefficient)`` for the smallest permutation, in one-line order,
+    whose coefficient differs between the two routes.
+    """
+    table = to_group_algebra(solomon_multiply(kappa, nu),
+                             max_degree=max_degree)
+    oracle = oracle_multiply(kappa, nu, max_degree=max_degree)
+    if table == oracle:
+        return None
+    perm = min(p for p in table.terms.keys() | oracle.terms.keys()
+               if table.coefficient(p) != oracle.coefficient(p))
+    return perm, table.coefficient(perm), oracle.coefficient(perm)
+
+
 def oracle_agrees(kappa: Composition, nu: Composition,
                   max_degree: int | None = None) -> bool:
     """Does the margin-matrix product match the brute-force product?"""
-    expanded = to_group_algebra(solomon_multiply(kappa, nu),
-                                max_degree=max_degree)
-    return expanded == oracle_multiply(kappa, nu, max_degree=max_degree)
+    return oracle_mismatch(kappa, nu, max_degree=max_degree) is None
 
 
 # ---------------------------------------------------------------------------

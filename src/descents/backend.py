@@ -1,22 +1,28 @@
 """The hot kernels: group-algebra convolution and the margin-table sweeps.
 
-A basis product needs only how many margin tables have each reading word,
-and the counting identity weights those same counts, so both rest on one
-memoised row sweep, :func:`reading_word_counts`.  :func:`enumerate_tables`
-is the only walk over single tables, for callers that need the tables.
+:func:`convolve` composes permutations as ``bytes.translate`` calls and
+tallies them with :class:`collections.Counter`, so the work per term pair
+runs in C.  A basis product needs only how many margin tables have each
+reading word, and the counting identity weights those same counts, so both
+rest on one memoised row sweep, :func:`reading_word_counts`.
+:func:`enumerate_tables` is the only walk over single tables, for callers
+that need the tables.
 
 Conventions:
 
 * permutations are tuples of images in one-line notation, values ``1..n``;
 * composition masks encode a composition of ``n`` by its proper partial
   sums: bit ``i-1`` is set iff ``i`` is a partial sum (``i < n``);
-* every coefficient must stay within signed 64-bit range, and leaving it
-  raises ``OverflowError`` rather than wrapping.
+* every input coefficient and every result must lie within signed 64-bit
+  range, and leaving it raises ``OverflowError`` rather than wrapping;
+  sums on the way are exact integers and are not checked.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain, repeat
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -27,33 +33,65 @@ def backend_name() -> str:
     return "pure"
 
 
+def _check_int64(value):
+    if not (_INT64_MIN <= value <= _INT64_MAX):
+        raise OverflowError("coefficient exceeds signed 64-bit range")
+
+
+def _by_coefficient(items):
+    """``{coefficient: [images]}``, every coefficient range-checked."""
+    groups = {}
+    for images, c in items:
+        groups.setdefault(c, []).append(images)
+    for c in groups:
+        _check_int64(c)
+    return groups
+
+
 def convolve(n, a_items, b_items):
     """Product of two sparse integer group-algebra elements.
 
     ``a_items`` and ``b_items`` are sequences of ``(images, coefficient)``
-    pairs; the result maps composed images ``x*y`` (right factor first) to
-    accumulated coefficients, zeros dropped.
+    pairs with ``n <= 255``, else ``ValueError``; the result maps composed
+    images ``x*y`` (right factor first) to accumulated coefficients, zeros
+    dropped.
+
+    Each left term ``x`` is encoded once as a 256-byte translation table
+    and each right term ``y`` once as ``bytes(y)``, so that
+    ``y.translate(table)`` is ``x*y``.  Terms are grouped by coefficient,
+    and each pair of coefficients tallies its compositions in one
+    :class:`~collections.Counter`: the cost is ``len(a_items) *
+    len(b_items)`` translates, plus one Counter and one pass over its
+    distinct images per coefficient pair.  Every input coefficient and
+    every result coefficient must lie in signed 64-bit range, else
+    ``OverflowError``; the sums in between are exact, so the outcome does
+    not depend on the order of the terms.
     """
+    if n > 255:
+        raise ValueError(f"degree {n} above 255: images are encoded as bytes")
+    # byte v of a left term's table is x(v); byte 0 and the padding past
+    # n are never read
+    pad = bytes(255 - n)
+    lefts = {ca: [b"\0" + bytes(x) + pad for x in xs]
+             for ca, xs in _by_coefficient(a_items).items()}
+    rights = {cb: list(map(bytes, ys))
+              for cb, ys in _by_coefficient(b_items).items()}
     acc = {}
     get = acc.get
-    for ax, ca in a_items:
-        if not (_INT64_MIN <= ca <= _INT64_MAX):
-            raise OverflowError("coefficient exceeds signed 64-bit range")
-        # pad so that 1-based values of the right factor index directly
-        axp = (0,) + tuple(ax)
-        lookup = axp.__getitem__
-        for by, cb in b_items:
-            if not (_INT64_MIN <= cb <= _INT64_MAX):
-                raise OverflowError("coefficient exceeds signed 64-bit range")
-            z = tuple(map(lookup, by))
-            v = get(z, 0) + ca * cb
-            if not (_INT64_MIN <= v <= _INT64_MAX):
-                raise OverflowError("coefficient exceeds signed 64-bit range")
-            if v:
-                acc[z] = v
-            elif z in acc:
-                del acc[z]
-    return acc
+    for ca, tables in lefts.items():
+        for cb, words in rights.items():
+            tally = Counter(chain.from_iterable(
+                map(bytes.translate, words, repeat(table))
+                for table in tables))
+            w = ca * cb
+            for z, k in tally.items():
+                acc[z] = get(z, 0) + w * k
+    out = {}
+    for z, v in acc.items():
+        if v:
+            _check_int64(v)
+            out[tuple(z)] = v
+    return out
 
 
 def _check_margins(row_margins, col_margins):

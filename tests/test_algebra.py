@@ -19,6 +19,7 @@ from descents import (
     identity_element,
     left_rep_count,
     oracle_agrees,
+    oracle_mismatch,
     oracle_multiply,
     reading_multinomial_sum,
     solomon_multiply,
@@ -27,6 +28,7 @@ from descents import (
     to_group_algebra,
     write_structure_csv,
 )
+from descents import algebra, backend
 from descents.algebra import STRUCTURE_SCHEMA_VERSION
 
 from _oracles import filter_left_reps, naive_convolve
@@ -147,6 +149,30 @@ def test_oracle_agrees_exhaustive_small():
         for kappa in comps:
             for nu in comps:
                 assert oracle_agrees(kappa, nu)
+
+
+def test_oracle_mismatch_names_permutation_and_coefficients(monkeypatch):
+    # drop the table with reading word (1,2) from B(2,1)*B(1,2), which
+    # leaves B(1,1,1): every permutation once, where the oracle has the
+    # identity twice
+    kappa, nu = Composition((2, 1)), Composition((1, 2))
+    assert oracle_mismatch(kappa, nu) is None
+    counts = backend.reading_word_counts
+
+    def drop_one_table(row_margins, col_margins, n):
+        out = dict(counts(row_margins, col_margins, n))
+        out[0b01] -= 1
+        return {mask: c for mask, c in out.items() if c}
+
+    monkeypatch.setattr(backend, "reading_word_counts", drop_one_table)
+    algebra._solomon.cache_clear()
+    try:
+        assert str(solomon_multiply(kappa, nu)) == "B(1,1,1)"
+        perm, table_coeff, oracle_coeff = oracle_mismatch(kappa, nu)
+        assert (perm.to_text(), table_coeff, oracle_coeff) == ("123", 1, 2)
+        assert not oracle_agrees(kappa, nu)
+    finally:
+        algebra._solomon.cache_clear()
 
 
 def test_oracle_agrees_spot_check_degree_six():

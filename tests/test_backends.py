@@ -17,7 +17,7 @@ import pytest
 import descents
 from descents import backend
 
-from _oracles import brute_tables, naive_convolve
+from _oracles import brute_tables, filter_left_reps, naive_convolve
 
 
 def random_items(n, count, rng, lo=-9, hi=9):
@@ -71,6 +71,63 @@ def test_convolve_coefficient_range_check():
     bad = [((1, 2), 2**63)]
     with pytest.raises(OverflowError):
         backend.convolve(2, bad, good)
+
+
+def test_convolve_range_ignores_term_order():
+    # the running sum passes 2**63 in the first order only; the result is
+    # the same exact 2**62 either way
+    b = [((1, 2), 1)]
+    for signs in ((1, 1, -1), (1, -1, 1)):
+        a = [((1, 2), s * 2**62) for s in signs]
+        assert backend.convolve(2, a, b) == {(1, 2): 2**62}
+
+
+def test_convolve_accumulated_overflow():
+    # 2**62 * 1 twice, both landing on the identity: 2**63 is out of range
+    a = [((1, 2), 2**62), ((2, 1), 2**62)]
+    b = [((1, 2), 1), ((2, 1), 1)]
+    with pytest.raises(OverflowError):
+        backend.convolve(2, a, b)
+
+
+def test_convolve_parity_indicators():
+    # X_(1^5) * X_(2,1,2): one coefficient per side, so a single tally
+    # sees every image 30 times
+    a = [(p, 1) for p in filter_left_reps(5, set())]
+    b = [(p, 1) for p in filter_left_reps(5, {1, 4})]
+    got = backend.convolve(5, a, b)
+    assert got == naive_convolve(a, b)
+    assert set(got.values()) == {30}
+
+
+def test_convolve_parity_many_coefficients():
+    # a few images under many coefficients, repeated on each side, so
+    # images recur across coefficient pairs; the left factor's last image
+    # comes with 7 and -7, so its products cancel to zero
+    rng = random.Random(11)
+    group = list(itertools.permutations(range(1, 6)))
+    pool = rng.sample(group, 7)
+    a = [(rng.choice(pool[:6]), rng.randint(-9, 9)) for _ in range(40)]
+    b = [(rng.choice(pool[:6]), rng.randint(-9, 9)) for _ in range(40)]
+    a += [(pool[6], 7), (pool[6], -7)]
+    got = backend.convolve(5, a, b)
+    assert got == naive_convolve(a, b)
+    images = {tuple(x[v - 1] for v in y) for x, _ in a for y, _ in b}
+    assert len(got) < len(images)
+
+
+def test_convolve_empty_operand():
+    items = [((2, 1, 3), 4), ((1, 2, 3), -1)]
+    assert backend.convolve(3, [], items) == {}
+    assert backend.convolve(3, items, []) == {}
+
+
+def test_convolve_degree_limit():
+    items = [(tuple(range(1, 256)), 1)]
+    assert backend.convolve(255, items, items) == {tuple(range(1, 256)): 1}
+    big = [(tuple(range(1, 257)), 1)]
+    with pytest.raises(ValueError):
+        backend.convolve(256, big, big)
 
 
 def test_convolve_cancellation():
