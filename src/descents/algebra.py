@@ -8,7 +8,8 @@ its reading word, so
     B(kappa) * B(nu) = sum over such matrices of B(reading word).
 
 The group-algebra oracle recomputes the same product by brute force from
-the defining sums and must agree exactly.
+the defining sums and must agree exactly.  Elements of both algebras share
+one base, ``perms._IntegerCombination``, for their coefficient arithmetic.
 
 >>> kappa, nu = Composition((2, 1)), Composition((1, 2))
 >>> str(solomon_multiply(kappa, nu))
@@ -21,22 +22,18 @@ import csv
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, TextIO
 
 from . import backend
-from .combinatorics import (
-    Composition,
-    _mask_to_parts,
-    all_compositions,
-    composition_to_subset,
-)
+from .backend import check_coefficient, mask_to_parts
+from .combinatorics import Composition, all_compositions, composition_to_subset
 from .cosets import BASIS_DEGREE_MAX
 from .perms import (
     ORACLE_DEGREE_DEFAULT,
     GroupAlgebraElement,
     Permutation,
+    _IntegerCombination,
     algebra_multiply,
-    check_coefficient,
     check_degree,
 )
 
@@ -44,91 +41,19 @@ from .perms import (
 STRUCTURE_SCHEMA_VERSION = 1
 
 
-class DescentElement:
+class DescentElement(_IntegerCombination):
     """An integer combination of basis elements, keyed by composition."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[Composition, int] | None = None,
-                 check: bool = True):
-        clean: dict[Composition, int] = {}
-        if terms:
-            for comp, coeff in terms.items():
-                if check:
-                    if not isinstance(comp, Composition):
-                        raise ValueError("terms must be keyed by Composition")
-                    if comp.n != n:
-                        raise ValueError(
-                            f"degree mismatch: composition of {comp.n} in an "
-                            f"element for n={n}")
-                    check_coefficient(coeff)
-                if coeff:
-                    clean[comp] = coeff
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DescentElement is immutable")
-
-    @classmethod
-    def zero(cls, n: int) -> "DescentElement":
-        return cls(n)
-
-    def coefficient(self, comp: Composition) -> int:
-        return self.terms.get(comp, 0)
+    __slots__ = ()
+    key_type = Composition
 
     def sorted_terms(self) -> list[tuple[Composition, int]]:
         return sorted(self.terms.items(), key=lambda t: t[0].parts)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _combine(self, other: "DescentElement", sign: int) -> "DescentElement":
-        if not isinstance(other, DescentElement):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        terms = dict(self.terms)
-        for comp, coeff in other.terms.items():
-            terms[comp] = check_coefficient(terms.get(comp, 0) + sign * coeff)
-        return DescentElement(self.n, terms, check=False)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return DescentElement(self.n,
-                              {c: -v for c, v in self.terms.items()},
-                              check=False)
-
-    def __mul__(self, other):
-        if isinstance(other, DescentElement):
-            return element_multiply(self, other)
-        if isinstance(other, int):
-            return DescentElement(
-                self.n,
-                {c: check_coefficient(v * other)
-                 for c, v in self.terms.items()},
-                check=False)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DescentElement)
-                and self.n == other.n and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __len__(self) -> int:
-        return len(self.terms)
+    def _multiply(self, other: "DescentElement") -> "DescentElement":
+        # through the module global, so a wrapper installed on
+        # ``algebra.element_multiply`` sees every element product
+        return element_multiply(self, other)
 
     def __str__(self) -> str:
         """Render like ``B(1,1,1) + B(1,2)`` or ``2 B(1,1)``; zero is ``0``."""
@@ -163,7 +88,7 @@ def identity_element(n: int) -> DescentElement:
 def _solomon(n: int, kappa_parts: tuple[int, ...],
              nu_parts: tuple[int, ...]) -> DescentElement:
     counts = backend.reading_word_counts(nu_parts, kappa_parts, n)
-    terms = {Composition(_mask_to_parts(mask, n)): c
+    terms = {Composition(mask_to_parts(mask, n)): c
              for mask, c in counts.items()}
     return DescentElement(n, terms, check=False)
 
@@ -176,16 +101,22 @@ def solomon_multiply(kappa: Composition, nu: Composition) -> DescentElement:
 
 
 def element_multiply(a: DescentElement, b: DescentElement) -> DescentElement:
-    """Bilinear extension of :func:`solomon_multiply`."""
+    """Bilinear extension of :func:`solomon_multiply`.
+
+    As in :func:`backend.convolve`, sums are exact and only the result's
+    coefficients are range-checked, so term order cannot matter.
+    """
     if a.n != b.n:
         raise ValueError("degree mismatch")
     terms: dict[Composition, int] = {}
+    get = terms.get
     for kappa, ca in a.terms.items():
         for nu, cb in b.terms.items():
-            scale = check_coefficient(ca * cb)
+            scale = ca * cb
             for eta, c in _solomon(a.n, kappa.parts, nu.parts).terms.items():
-                terms[eta] = check_coefficient(
-                    terms.get(eta, 0) + scale * c)
+                terms[eta] = get(eta, 0) + scale * c
+    for c in terms.values():
+        check_coefficient(c)
     return DescentElement(a.n, terms, check=False)
 
 

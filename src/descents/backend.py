@@ -24,8 +24,8 @@ import math
 from collections import Counter
 from itertools import chain, repeat
 
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
 
 
 def backend_name() -> str:
@@ -33,9 +33,23 @@ def backend_name() -> str:
     return "pure"
 
 
-def _check_int64(value):
-    if not (_INT64_MIN <= value <= _INT64_MAX):
+def check_coefficient(value: int) -> int:
+    """Return ``value``, or raise if it leaves signed 64-bit range."""
+    if value < INT64_MIN or value > INT64_MAX:
         raise OverflowError("coefficient exceeds signed 64-bit range")
+    return value
+
+
+def mask_to_parts(mask: int, n: int) -> tuple[int, ...]:
+    """The parts of the composition of ``n`` that ``mask`` encodes."""
+    parts = []
+    prev = 0
+    for i in range(1, n):
+        if mask >> (i - 1) & 1:
+            parts.append(i - prev)
+            prev = i
+    parts.append(n - prev)
+    return tuple(parts)
 
 
 def _by_coefficient(items):
@@ -44,7 +58,7 @@ def _by_coefficient(items):
     for images, c in items:
         groups.setdefault(c, []).append(images)
     for c in groups:
-        _check_int64(c)
+        check_coefficient(c)
     return groups
 
 
@@ -89,8 +103,7 @@ def convolve(n, a_items, b_items):
     out = {}
     for z, v in acc.items():
         if v:
-            _check_int64(v)
-            out[tuple(z)] = v
+            out[tuple(z)] = check_coefficient(v)
     return out
 
 
@@ -207,7 +220,6 @@ def sum_reading_multinomials(row_margins, col_margins, n):
     fact = [math.factorial(k) for k in range(n + 1)]
     total = 0
     for mask, count in counts.items():
-        cuts = [0] + [i for i in range(1, n) if mask >> (i - 1) & 1] + [n]
         total += count * (fact[n] // math.prod(
-            fact[b - a] for a, b in zip(cuts, cuts[1:])))
+            fact[p] for p in mask_to_parts(mask, n)))
     return total

@@ -317,17 +317,6 @@ def composition_to_subset(kappa: Composition) -> GeneratorSubset:
                            (i for i in range(1, kappa.n) if i not in sums))
 
 
-def _mask_to_parts(mask: int, n: int) -> tuple[int, ...]:
-    parts = []
-    prev = 0
-    for i in range(1, n):
-        if mask >> (i - 1) & 1:
-            parts.append(i - prev)
-            prev = i
-    parts.append(n - prev)
-    return tuple(parts)
-
-
 def all_generator_subsets(n: int) -> list[GeneratorSubset]:
     """All 2^(n-1) subsets, lexicographically by sorted index tuple."""
     tuples = itertools.chain.from_iterable(

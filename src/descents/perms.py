@@ -4,6 +4,11 @@ Permutations are kept in one-line notation: ``Permutation((3, 1, 2))`` sends
 1 to 3, 2 to 1 and 3 to 2.  Composition applies the right factor first:
 ``(x * y)(i) = x(y(i))``.
 
+Elements of the group algebra and of the descent algebra (in ``algebra``)
+are both subclasses of :class:`_IntegerCombination`, which holds their
+shared coefficient arithmetic: exact integers, zeros dropped, every
+coefficient within signed 64-bit range, immutable.
+
 >>> x = Permutation.from_text("132")
 >>> y = Permutation.from_text("213")
 >>> (x * y).to_text()
@@ -20,20 +25,11 @@ import itertools
 from typing import Iterable, Iterator, Mapping
 
 from . import backend
+from .backend import INT64_MAX, INT64_MIN, check_coefficient  # noqa: F401
 
 #: Largest degree at which whole-group (order n!) computations run without
 #: an explicit override.
 ORACLE_DEGREE_DEFAULT = 7
-
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
-
-
-def check_coefficient(value: int) -> int:
-    """Return ``value`` unchanged, or raise if it leaves signed 64-bit range."""
-    if value < INT64_MIN or value > INT64_MAX:
-        raise OverflowError("coefficient exceeds signed 64-bit range")
-    return value
 
 
 def check_degree(n: int, max_degree: int | None, default: int) -> None:
@@ -149,65 +145,57 @@ def enumerate_group(n: int, max_degree: int | None = None) -> Iterator[Permutati
         yield Permutation(images, check=False)
 
 
-class GroupAlgebraElement:
-    """A finite integer combination of equal-degree permutations.
+class _IntegerCombination:
+    """A finite integer combination of equal-degree ``key_type`` keys.
 
-    ``terms`` maps :class:`Permutation` to a non-zero signed 64-bit
-    coefficient.  Treat it as read-only.
+    ``terms`` maps each key to a non-zero signed 64-bit coefficient; treat
+    it as read-only.  Subclasses add ``key_type``, ``_multiply`` and text.
     """
 
     __slots__ = ("n", "terms")
+    key_type: type
 
-    def __init__(self, n: int,
-                 terms: Mapping[Permutation, int] | None = None,
+    def __init__(self, n: int, terms: Mapping | None = None,
                  check: bool = True):
-        clean: dict[Permutation, int] = {}
+        clean = {}
         if terms:
-            for perm, coeff in terms.items():
+            for key, coeff in terms.items():
                 if check:
-                    if not isinstance(perm, Permutation):
-                        raise ValueError("terms must be keyed by Permutation")
-                    if perm.n != n:
+                    if not isinstance(key, self.key_type):
+                        raise ValueError("terms must be keyed by "
+                                         + self.key_type.__name__)
+                    if key.n != n:
                         raise ValueError(
-                            f"degree mismatch: element of S_{n} cannot hold "
-                            f"a permutation of degree {perm.n}")
+                            f"degree mismatch: element of degree {n} cannot "
+                            f"hold a key of degree {key.n}")
                     check_coefficient(coeff)
                 if coeff:
-                    clean[perm] = coeff
+                    clean[key] = coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("GroupAlgebraElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, n: int) -> "GroupAlgebraElement":
+    def zero(cls, n: int):
         return cls(n)
 
-    @classmethod
-    def from_permutation(cls, perm: Permutation,
-                         coeff: int = 1) -> "GroupAlgebraElement":
-        return cls(perm.n, {perm: coeff})
-
-    def coefficient(self, perm: Permutation) -> int:
-        return self.terms.get(perm, 0)
-
-    def support(self) -> list[Permutation]:
-        return sorted(self.terms)
+    def coefficient(self, key) -> int:
+        return self.terms.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _combine(self, other: "GroupAlgebraElement",
-                 sign: int) -> "GroupAlgebraElement":
-        if not isinstance(other, GroupAlgebraElement):
+    def _combine(self, other, sign: int):
+        if not isinstance(other, type(self)):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("degree mismatch")
         terms = dict(self.terms)
-        for perm, coeff in other.terms.items():
-            terms[perm] = check_coefficient(terms.get(perm, 0) + sign * coeff)
-        return GroupAlgebraElement(self.n, terms, check=False)
+        for key, coeff in other.terms.items():
+            terms[key] = check_coefficient(terms.get(key, 0) + sign * coeff)
+        return type(self)(self.n, terms, check=False)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -216,16 +204,17 @@ class GroupAlgebraElement:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return GroupAlgebraElement(
-            self.n, {p: -c for p, c in self.terms.items()}, check=False)
+        return type(self)(self.n, {k: -c for k, c in self.terms.items()},
+                          check=False)
 
     def __mul__(self, other):
-        if isinstance(other, GroupAlgebraElement):
-            return algebra_multiply(self, other)
+        if isinstance(other, type(self)):
+            return self._multiply(other)
         if isinstance(other, int):
-            return GroupAlgebraElement(
+            return type(self)(
                 self.n,
-                {p: check_coefficient(c * other) for p, c in self.terms.items()},
+                {k: check_coefficient(c * other)
+                 for k, c in self.terms.items()},
                 check=False)
         return NotImplemented
 
@@ -235,7 +224,7 @@ class GroupAlgebraElement:
         return NotImplemented
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, GroupAlgebraElement)
+        return (isinstance(other, type(self))
                 and self.n == other.n and self.terms == other.terms)
 
     def __hash__(self):
@@ -243,6 +232,24 @@ class GroupAlgebraElement:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+
+class GroupAlgebraElement(_IntegerCombination):
+    """A finite integer combination of equal-degree permutations."""
+
+    __slots__ = ()
+    key_type = Permutation
+
+    @classmethod
+    def from_permutation(cls, perm: Permutation,
+                         coeff: int = 1) -> "GroupAlgebraElement":
+        return cls(perm.n, {perm: coeff})
+
+    def support(self) -> list[Permutation]:
+        return sorted(self.terms)
+
+    def _multiply(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        return algebra_multiply(self, other)
 
     def __repr__(self) -> str:
         parts = [f"{c}*{p.to_text()}" for p, c in

@@ -9,6 +9,7 @@ from descents import (
     Composition,
     DescentElement,
     GroupAlgebraElement,
+    Permutation,
     all_compositions,
     basis_element,
     composition_to_subset,
@@ -190,6 +191,76 @@ def test_element_multiply_is_bilinear():
     rhs = element_multiply(a, c) + 2 * element_multiply(b, c)
     assert lhs == rhs
     assert element_multiply(DescentElement.zero(3), a).is_zero()
+
+
+def test_element_multiply_range_ignores_term_order():
+    # (2**62 B(1,1) - 2**62 B(2)) * B(1,1) = 2**63 B(1,1) - 2**62 B(1,1):
+    # the running sum passes 2**63 in the first order only
+    b = basis_element(Composition((1, 1)))
+    pair, one = Composition((1, 1)), Composition((2,))
+    for order in ((pair, one), (one, pair)):
+        coeffs = {pair: 2**62, one: -(2**62)}
+        a = DescentElement(2, {k: coeffs[k] for k in order})
+        assert element_multiply(a, b) == 2**62 * b
+
+
+def test_element_multiply_result_overflow():
+    # 2**62 B(1,1) * B(1,1) = 2**63 B(1,1), one past int64
+    b = basis_element(Composition((1, 1)))
+    with pytest.raises(OverflowError):
+        element_multiply(2**62 * b, b)
+
+
+def _descent_keys(n):
+    return Composition((n,)), Composition((1,) * n)
+
+
+def _group_keys(n):
+    return (Permutation.identity(n),
+            Permutation(tuple(range(n, 0, -1))))
+
+
+ELEMENT_TYPES = [(DescentElement, _descent_keys, _group_keys),
+                 (GroupAlgebraElement, _group_keys, _descent_keys)]
+
+
+@pytest.mark.parametrize("cls,keys,other_keys", ELEMENT_TYPES,
+                         ids=["descent", "group"])
+def test_element_contract(cls, keys, other_keys):
+    x, y = keys(2)
+    a = cls(2, {x: 0, y: 3})
+    # zero coefficients are dropped
+    assert a.terms == {y: 3}
+    assert len(a) == 1 and a.coefficient(x) == 0
+    assert (a - a).terms == {} and (a - a).is_zero()
+    assert (0 * a).terms == {}
+    # immutable
+    for name in ("n", "terms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    # check=True rejects a wrong key type and a wrong degree
+    with pytest.raises(ValueError):
+        cls(2, {other_keys(2)[0]: 1})
+    with pytest.raises(ValueError, match="degree 2.*degree 3"):
+        cls(2, {keys(3)[0]: 1})
+    # integer scaling past int64 raises on either side
+    big = cls(2, {x: 2**62})
+    assert (big * 1).terms == {x: 2**62}
+    with pytest.raises(OverflowError):
+        big * 2
+    with pytest.raises(OverflowError):
+        2 * big
+    with pytest.raises(OverflowError):
+        cls(2, {x: 2**63})
+    # the two element types never mix
+    other = (GroupAlgebraElement if cls is DescentElement
+             else DescentElement).zero(2)
+    assert cls.zero(2) != other and other != cls.zero(2)
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+        with pytest.raises(TypeError):
+            op(a, other)
+        with pytest.raises(TypeError):
+            op(other, a)
 
 
 def test_product_closure_and_coefficient_total():

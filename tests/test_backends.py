@@ -183,6 +183,20 @@ def brute_reading_word_counts(nu, kappa):
     return counts
 
 
+def test_mask_to_parts_convention():
+    # the 2**(n-1) masks give the 2**(n-1) compositions of n, and bit
+    # i-1 is set iff i is a proper partial sum
+    for n in range(1, 8):
+        masks = range(1 << (n - 1))
+        decoded = [backend.mask_to_parts(mask, n) for mask in masks]
+        assert set(decoded) == set(compositions(n))
+        assert len(set(decoded)) == len(masks)
+        for mask, parts in zip(masks, decoded):
+            sums = set(itertools.accumulate(parts[:-1]))
+            for i in range(1, n):
+                assert bool(mask >> (i - 1) & 1) == (i in sums)
+
+
 @pytest.mark.parametrize("nu,kappa", TABLE_CASES)
 def test_enumerate_tables_parity_and_brute_force(nu, kappa):
     got = backend.enumerate_tables(nu, kappa)

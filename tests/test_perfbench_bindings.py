@@ -1,0 +1,49 @@
+"""The benchmark's tracer still finds the layer boundaries it wraps.
+
+``perfbench/tracer.py`` replaces module attributes that the package looks
+up at call time.  A refactor that calls one of them some other way leaves
+the benchmark blind to that layer without failing anything else, so this
+test installs the tracer, runs one product of each element type, and
+counts the spans.  It only reads ``perfbench/``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from descents import (
+    Composition,
+    GroupAlgebraElement,
+    Permutation,
+    algebra,
+    basis_element,
+)
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_element_products():
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    a = basis_element(Composition((2, 1))) + basis_element(Composition((3,)))
+    b = 2 * basis_element(Composition((1, 2)))
+    g = GroupAlgebraElement.from_permutation(Permutation((2, 1, 3)), 2)
+    h = GroupAlgebraElement.from_permutation(Permutation((1, 3, 2)), -1)
+    tracer_module.install(tracer)
+    try:
+        a * b
+        g * h
+    finally:
+        tracer.remove()
+    spans = tracer.by_name()
+    assert spans["algebra.element_multiply"][0] == 1
+    assert spans["backend.convolve"][0] == 1
+    assert tracer.counts["algebra.product_lookups"] == len(a) * len(b)
+    # every patch is undone: the product cache is the lru_cache again
+    assert callable(algebra._solomon.cache_clear)
