@@ -35,6 +35,7 @@ from .perms import (
     _IntegerCombination,
     algebra_multiply,
     check_degree,
+    degree_mismatch,
 )
 
 #: Version stamp for the structured export format.
@@ -84,7 +85,9 @@ def identity_element(n: int) -> DescentElement:
     return basis_element(Composition((n,)))
 
 
-@lru_cache(maxsize=None)
+# 4096 holds every basis product at n=7 (64 x 64 pairs), while a full n=8
+# sweep (16 384 pairs) stays bounded
+@lru_cache(maxsize=4096)
 def _solomon(n: int, kappa_parts: tuple[int, ...],
              nu_parts: tuple[int, ...]) -> DescentElement:
     counts = backend.reading_word_counts(nu_parts, kappa_parts, n)
@@ -96,7 +99,7 @@ def _solomon(n: int, kappa_parts: tuple[int, ...],
 def solomon_multiply(kappa: Composition, nu: Composition) -> DescentElement:
     """Basis product by the margin-matrix rule (no group enumeration)."""
     if kappa.n != nu.n:
-        raise ValueError("degree mismatch")
+        raise degree_mismatch(kappa.n, nu.n)
     return _solomon(kappa.n, kappa.parts, nu.parts)
 
 
@@ -107,7 +110,7 @@ def element_multiply(a: DescentElement, b: DescentElement) -> DescentElement:
     coefficients are range-checked, so term order cannot matter.
     """
     if a.n != b.n:
-        raise ValueError("degree mismatch")
+        raise degree_mismatch(a.n, b.n)
     terms: dict[Composition, int] = {}
     get = terms.get
     for kappa, ca in a.terms.items():
@@ -175,7 +178,7 @@ def oracle_multiply(kappa: Composition, nu: Composition,
     after :func:`to_group_algebra`.
     """
     if kappa.n != nu.n:
-        raise ValueError("degree mismatch")
+        raise degree_mismatch(kappa.n, nu.n)
     limit = ORACLE_DEGREE_DEFAULT if max_degree is None else max_degree
     a = _basis_indicator(kappa.n, kappa.parts, limit)
     b = _basis_indicator(nu.n, nu.parts, limit)
@@ -219,10 +222,15 @@ def left_rep_count(nu: Composition) -> int:
 
 
 def reading_multinomial_sum(kappa: Composition, nu: Composition) -> int:
-    """Sum of ``n!/prod(eta_i!)`` over all margin matrices of the pair."""
-    if kappa.n != nu.n:
-        raise ValueError("degree mismatch")
-    return backend.sum_reading_multinomials(nu.parts, kappa.parts, kappa.n)
+    """Sum of ``n!/prod(eta_i!)`` over all margin matrices of the pair.
+
+    Read off the product that :func:`solomon_multiply` returns, as
+    ``sum of c_eta * |X_eta|``, so the identity checks the very product
+    callers get, and a cached product is not swept again.
+    """
+    terms = solomon_multiply(kappa, nu).terms
+    return backend.sum_reading_multinomials(
+        ((eta.parts, c) for eta, c in terms.items()), kappa.n)
 
 
 def counting_identity_holds(kappa: Composition, nu: Composition) -> bool:

@@ -3,8 +3,9 @@
 :func:`convolve` composes permutations as ``bytes.translate`` calls and
 tallies them with :class:`collections.Counter`, so the work per term pair
 runs in C.  A basis product needs only how many margin tables have each
-reading word, and the counting identity weights those same counts, so both
-rest on one memoised row sweep, :func:`reading_word_counts`.
+reading word, which one memoised row sweep, :func:`reading_word_counts`,
+tallies.  The counting identity re-weights a product's terms with
+:func:`sum_reading_multinomials` and sweeps nothing itself.
 :func:`enumerate_tables` is the only walk over single tables, for callers
 that need the tables.
 
@@ -204,22 +205,13 @@ def reading_word_counts(row_margins, col_margins, n):
     return sweep(0, tuple(col_margins))
 
 
-# the counting identity reads the counts through this binding, so that a
-# wrapper around the public name sees only the product calls
-_reading_word_counts = reading_word_counts
+def sum_reading_multinomials(terms, n):
+    """``sum of count * n! / prod(eta_i!)`` over ``(eta_parts, count)``.
 
-
-def sum_reading_multinomials(row_margins, col_margins, n):
-    """``sum over tables of n! / prod(eta_i!)`` for reading words ``eta``.
-
-    Used by the counting identity: the total must equal the product of the
-    two margin multinomials.  Each reading word's multinomial is weighted
-    by its count from :func:`reading_word_counts`; the sum is exact.
+    The counting identity passes a basis product's terms, so the total
+    re-weights its reading-word counts with no second sweep; it must equal
+    the product of the two margin multinomials.  The sum is exact.
     """
-    counts = _reading_word_counts(row_margins, col_margins, n)
     fact = [math.factorial(k) for k in range(n + 1)]
-    total = 0
-    for mask, count in counts.items():
-        total += count * (fact[n] // math.prod(
-            fact[p] for p in mask_to_parts(mask, n)))
-    return total
+    return sum(count * (fact[n] // math.prod(map(fact.__getitem__, parts)))
+               for parts, count in terms)

@@ -19,7 +19,7 @@ import itertools
 from typing import Iterable, Iterator
 
 from . import backend
-from .perms import Permutation
+from .perms import Permutation, degree_mismatch
 
 
 class Composition:
@@ -148,14 +148,14 @@ class SubsetGraph:
     def image_under(self, x: Permutation) -> "SubsetGraph":
         """Relabel every vertex v as x(v)."""
         if x.n != self.n:
-            raise ValueError("degree mismatch")
+            raise degree_mismatch(x.n, self.n)
         img = x.images
         return SubsetGraph(self.n,
                            ((img[u - 1], img[v - 1]) for u, v in self.edges))
 
     def intersection(self, other: "SubsetGraph") -> "SubsetGraph":
         if self.n != other.n:
-            raise ValueError("degree mismatch")
+            raise degree_mismatch(self.n, other.n)
         return SubsetGraph(self.n, self.edges & other.edges)
 
     def sorted_edges(self) -> list[tuple[int, int]]:

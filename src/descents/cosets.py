@@ -30,7 +30,7 @@ from .combinatorics import (
     ordered_presentation,
     subset_to_composition,
 )
-from .perms import Permutation, check_degree
+from .perms import Permutation, check_degree, degree_mismatch
 
 #: Representative enumeration is output-linear but outputs can reach n!,
 #: so the degree is capped unless the caller raises the bound.
@@ -48,7 +48,7 @@ def is_left_rep(x: Permutation, k: GeneratorSubset) -> bool:
     False
     """
     if x.n != k.n:
-        raise ValueError("degree mismatch")
+        raise degree_mismatch(x.n, k.n)
     images = x.images
     return all(images[h - 1] < images[h] for h in k.members)
 
@@ -93,7 +93,7 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
                          max_degree: int | None = None) -> Iterator[Permutation]:
     """Permutations lying in ``X_K`` whose inverses lie in ``X_J``."""
     if j.n != k.n:
-        raise ValueError("degree mismatch")
+        raise degree_mismatch(j.n, k.n)
     for x in enumerate_left_reps(k, max_degree=max_degree):
         if is_left_rep(x.inverse(), j):
             yield x
@@ -114,7 +114,7 @@ def _block_intersections(x: Permutation, j: GeneratorSubset,
     its block intersections, with ``J_q`` and ``K_m`` in the order of
     their subset graph's ordered presentation."""
     if x.n != j.n or j.n != k.n:
-        raise ValueError("degree mismatch")
+        raise degree_mismatch(x.n, j.n, k.n)
     xinv = x.inverse()
     if not (is_left_rep(x, k) and is_left_rep(xinv, j)):
         raise ValueError(
@@ -243,7 +243,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     the first; ``failure_count`` still counts them all.
     """
     if j.n != k.n:
-        raise ValueError("degree mismatch")
+        raise degree_mismatch(j.n, k.n)
     n = j.n
     check_degree(n, max_degree, LEMMA_DEGREE_DEFAULT)
     if parabolic is None:

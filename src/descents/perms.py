@@ -40,6 +40,11 @@ def check_degree(n: int, max_degree: int | None, default: int) -> None:
             f"degree {n} above bound {limit}; pass max_degree to override")
 
 
+def degree_mismatch(*degrees: int) -> ValueError:
+    """The error for operands of different degrees, naming every degree."""
+    return ValueError("degree mismatch: " + " vs ".join(map(str, degrees)))
+
+
 class Permutation:
     """An element of the symmetric group S_n, immutable and hashable."""
 
@@ -191,7 +196,7 @@ class _IntegerCombination:
         if not isinstance(other, type(self)):
             return NotImplemented
         if self.n != other.n:
-            raise ValueError("degree mismatch")
+            raise degree_mismatch(self.n, other.n)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             terms[key] = check_coefficient(terms.get(key, 0) + sign * coeff)
@@ -264,7 +269,7 @@ def algebra_multiply(a: GroupAlgebraElement,
                      b: GroupAlgebraElement) -> GroupAlgebraElement:
     """Bilinear product; the hot loop lives in the kernel backend."""
     if a.n != b.n:
-        raise ValueError("degree mismatch")
+        raise degree_mismatch(a.n, b.n)
     a_items = [(p.images, c) for p, c in a.terms.items()]
     b_items = [(p.images, c) for p, c in b.terms.items()]
     raw = backend.convolve(a.n, a_items, b_items)

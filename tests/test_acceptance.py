@@ -29,6 +29,7 @@ from descents import (
     subset_to_composition,
     verify_subset_pair,
 )
+from descents import algebra
 
 from conftest import acceptance_lines
 from _oracles import filter_left_reps
@@ -105,7 +106,9 @@ def test_intersection_table_bijection():
 
 def test_counting_identity():
     # reading-word multinomials total |X_kappa| * |X_nu|, through degree 8,
-    # computed from the tables alone (no group is ever enumerated)
+    # computed from the tables alone (no group is ever enumerated); the
+    # products start cold, so the budget does not lean on earlier tests
+    algebra._solomon.cache_clear()
     start = time.perf_counter()
     pairs = 0
     for n in range(1, 9):
@@ -117,7 +120,11 @@ def test_counting_identity():
     elapsed = time.perf_counter() - start
     assert pairs == 21845
     assert elapsed < 30.0, f"too slow: {elapsed:.1f}s"
-    record("counting", f"pairs={pairs}, {elapsed:.1f}s < 30s")
+    # every pair leaves its product cached, and the cache stays bounded
+    cache = algebra._solomon.cache_info()
+    assert cache.maxsize is not None and cache.currsize <= cache.maxsize
+    record("counting", f"pairs={pairs}, {elapsed:.1f}s < 30s, "
+                       f"{cache.currsize} products cached")
 
 
 def test_cli_worked_example():

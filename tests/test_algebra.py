@@ -77,6 +77,19 @@ def test_vector_space_operations():
         a + basis_element(Composition((2, 2)))
 
 
+def test_degree_mismatch_names_both_degrees():
+    a = basis_element(Composition((2, 1)))
+    b = basis_element(Composition((2, 2)))
+    three, four = Composition((2, 1)), Composition((2, 2))
+    for call in (lambda: a + b, lambda: a - b, lambda: element_multiply(a, b),
+                 lambda: solomon_multiply(three, four),
+                 lambda: oracle_multiply(three, four),
+                 lambda: reading_multinomial_sum(three, four),
+                 lambda: counting_identity_holds(three, four)):
+        with pytest.raises(ValueError, match="^degree mismatch: 3 vs 4$"):
+            call()
+
+
 def test_known_product():
     k, v = Composition((2, 1)), Composition((1, 2))
     prod = solomon_multiply(k, v)
@@ -152,12 +165,11 @@ def test_oracle_agrees_exhaustive_small():
                 assert oracle_agrees(kappa, nu)
 
 
-def test_oracle_mismatch_names_permutation_and_coefficients(monkeypatch):
-    # drop the table with reading word (1,2) from B(2,1)*B(1,2), which
-    # leaves B(1,1,1): every permutation once, where the oracle has the
-    # identity twice
-    kappa, nu = Composition((2, 1)), Composition((1, 2))
-    assert oracle_mismatch(kappa, nu) is None
+@pytest.fixture
+def kernel_drops_one_table(monkeypatch):
+    """Patch the sweep to drop the table with reading word (1,2) from
+    B(2,1)*B(1,2), which leaves B(1,1,1); the product cache starts and
+    ends cold."""
     counts = backend.reading_word_counts
 
     def drop_one_table(row_margins, col_margins, n):
@@ -167,13 +179,19 @@ def test_oracle_mismatch_names_permutation_and_coefficients(monkeypatch):
 
     monkeypatch.setattr(backend, "reading_word_counts", drop_one_table)
     algebra._solomon.cache_clear()
-    try:
-        assert str(solomon_multiply(kappa, nu)) == "B(1,1,1)"
-        perm, table_coeff, oracle_coeff = oracle_mismatch(kappa, nu)
-        assert (perm.to_text(), table_coeff, oracle_coeff) == ("123", 1, 2)
-        assert not oracle_agrees(kappa, nu)
-    finally:
-        algebra._solomon.cache_clear()
+    yield Composition((2, 1)), Composition((1, 2))
+    algebra._solomon.cache_clear()
+
+
+def test_oracle_mismatch_names_permutation_and_coefficients(
+        kernel_drops_one_table):
+    # B(1,1,1) holds every permutation once, where the oracle has the
+    # identity twice
+    kappa, nu = kernel_drops_one_table
+    assert str(solomon_multiply(kappa, nu)) == "B(1,1,1)"
+    perm, table_coeff, oracle_coeff = oracle_mismatch(kappa, nu)
+    assert (perm.to_text(), table_coeff, oracle_coeff) == ("123", 1, 2)
+    assert not oracle_agrees(kappa, nu)
 
 
 def test_oracle_agrees_spot_check_degree_six():
@@ -300,6 +318,13 @@ def test_reading_multinomial_sum_matches_direct():
                     term //= math.factorial(p)
                 direct += term
             assert reading_multinomial_sum(kappa, nu) == direct
+
+
+def test_counting_identity_reads_the_product(kernel_drops_one_table):
+    # |X_(1,1,1)| = 6, where |X_(2,1)| * |X_(1,2)| = 9
+    kappa, nu = kernel_drops_one_table
+    assert reading_multinomial_sum(kappa, nu) == 6
+    assert not counting_identity_holds(kappa, nu)
 
 
 def test_counting_identity_small():

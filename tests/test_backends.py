@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import descents
-from descents import backend
+from descents import Composition, backend, reading_multinomial_sum
 
 from _oracles import brute_tables, filter_left_reps, naive_convolve
 
@@ -232,9 +232,11 @@ def test_reading_word_counts_parity(nu, kappa):
 @pytest.mark.parametrize("nu,kappa", PARITY_CASES)
 def test_sum_reading_multinomials_parity(nu, kappa):
     n = sum(nu)
-    # from the definition: a table's reading word eta is its non-zero
-    # entries read row by row
-    assert backend.sum_reading_multinomials(nu, kappa, n) == sum(
+    # the whole route: the sweep, the product built from it, and the
+    # re-weighting of its terms; from the definition, a table's reading
+    # word eta is its non-zero entries read row by row
+    assert reading_multinomial_sum(Composition(kappa),
+                                   Composition(nu)) == sum(
         math.factorial(n) // math.prod(math.factorial(eta_i)
                                        for row in table for eta_i in row
                                        if eta_i)

@@ -86,8 +86,22 @@ def test_double_set_matches_filter():
 
 
 def test_double_set_degree_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degree mismatch: 3 vs 4$"):
         list(enumerate_double_set(GeneratorSubset(3), GeneratorSubset(4)))
+
+
+def test_degree_mismatch_names_every_degree():
+    x = Permutation.identity(3)
+    j, k = GeneratorSubset(3), GeneratorSubset(4)
+    for call, text in (
+            (lambda: is_left_rep(x, k), "3 vs 4"),
+            (lambda: intersection_table(x, j, k), "3 vs 3 vs 4"),
+            (lambda: verify_subset_pair(j, k), "3 vs 4"),
+            (lambda: graph_of_subset(k).image_under(x), "3 vs 4"),
+            (lambda: intersect(graph_of_subset(j), graph_of_subset(k)),
+             "3 vs 4")):
+        with pytest.raises(ValueError, match=f"^degree mismatch: {text}$"):
+            call()
 
 
 def test_intersection_table_margins():

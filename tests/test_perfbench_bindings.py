@@ -47,3 +47,24 @@ def test_tracer_sees_element_products():
     assert tracer.counts["algebra.product_lookups"] == len(a) * len(b)
     # every patch is undone: the product cache is the lru_cache again
     assert callable(algebra._solomon.cache_clear)
+
+
+def test_tracer_sees_one_sweep_per_checked_product():
+    # the identity re-weights the cached product: a cold product and its
+    # identity check sweep the margins once between them
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    kappa, nu = Composition((2, 1)), Composition((1, 2))
+    algebra._solomon.cache_clear()
+    tracer_module.install(tracer)
+    try:
+        algebra.solomon_multiply(kappa, nu)
+        assert algebra.counting_identity_holds(kappa, nu)
+    finally:
+        tracer.remove()
+        algebra._solomon.cache_clear()
+    spans = tracer.by_name()
+    assert spans["backend.reading_word_counts"][0] == 1
+    assert spans["backend.sum_reading_multinomials"][0] == 1
+    assert tracer.counts["backend.reading_word_counts.tables"] == 2
+    assert tracer.counts["algebra.product_lookups"] == 2

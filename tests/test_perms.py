@@ -127,9 +127,9 @@ def test_algebra_element_basics():
 def test_algebra_element_mixed_degree_rejected():
     a = GroupAlgebraElement.from_permutation(Permutation((2, 1)))
     b = GroupAlgebraElement.from_permutation(Permutation((2, 1, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degree mismatch: 2 vs 3$"):
         a + b
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degree mismatch: 2 vs 3$"):
         a * b
 
 
