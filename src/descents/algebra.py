@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, TextIO
 
 from . import backend
-from .backend import check_coefficient, mask_to_parts
+from .backend import check_coefficient
 from .combinatorics import Composition, all_compositions, composition_to_subset
 from .cosets import BASIS_DEGREE_MAX
 from .perms import (
@@ -91,8 +91,7 @@ def identity_element(n: int) -> DescentElement:
 def _solomon(n: int, kappa_parts: tuple[int, ...],
              nu_parts: tuple[int, ...]) -> DescentElement:
     counts = backend.reading_word_counts(nu_parts, kappa_parts, n)
-    terms = {Composition(mask_to_parts(mask, n)): c
-             for mask, c in counts.items()}
+    terms = {Composition(word): c for word, c in counts.items()}
     return DescentElement(n, terms, check=False)
 
 
@@ -161,13 +160,13 @@ def to_group_algebra(a: DescentElement,
     return GroupAlgebraElement(n, terms, check=False)
 
 
-# 256 holds the indicators of all 127 compositions through n=7
+# 256 holds the indicators of all 127 compositions through n=7; the
+# caller has checked the degree bound, so one entry serves every bound
 @lru_cache(maxsize=256)
-def _basis_indicator(n: int, parts: tuple[int, ...],
-                     limit: int) -> GroupAlgebraElement:
+def _basis_indicator(n: int, parts: tuple[int, ...]) -> GroupAlgebraElement:
     return to_group_algebra(
         DescentElement(n, {Composition(parts): 1}, check=False),
-        max_degree=limit)
+        max_degree=n)
 
 
 def oracle_multiply(kappa: Composition, nu: Composition,
@@ -179,9 +178,9 @@ def oracle_multiply(kappa: Composition, nu: Composition,
     """
     if kappa.n != nu.n:
         raise degree_mismatch(kappa.n, nu.n)
-    limit = ORACLE_DEGREE_DEFAULT if max_degree is None else max_degree
-    a = _basis_indicator(kappa.n, kappa.parts, limit)
-    b = _basis_indicator(nu.n, nu.parts, limit)
+    check_degree(kappa.n, max_degree, ORACLE_DEGREE_DEFAULT)
+    a = _basis_indicator(kappa.n, kappa.parts)
+    b = _basis_indicator(nu.n, nu.parts)
     return algebra_multiply(a, b)
 
 

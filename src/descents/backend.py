@@ -12,8 +12,8 @@ that need the tables.
 Conventions:
 
 * permutations are tuples of images in one-line notation, values ``1..n``;
-* composition masks encode a composition of ``n`` by its proper partial
-  sums: bit ``i-1`` is set iff ``i`` is a partial sum (``i < n``);
+* a reading word is the tuple of a margin table's non-zero entries, read
+  row by row: the parts of a composition of ``n``;
 * every input coefficient and every result must lie within signed 64-bit
   range, and leaving it raises ``OverflowError`` rather than wrapping;
   sums on the way are exact integers and are not checked.
@@ -39,18 +39,6 @@ def check_coefficient(value: int) -> int:
     if value < INT64_MIN or value > INT64_MAX:
         raise OverflowError("coefficient exceeds signed 64-bit range")
     return value
-
-
-def mask_to_parts(mask: int, n: int) -> tuple[int, ...]:
-    """The parts of the composition of ``n`` that ``mask`` encodes."""
-    parts = []
-    prev = 0
-    for i in range(1, n):
-        if mask >> (i - 1) & 1:
-            parts.append(i - prev)
-            prev = i
-    parts.append(n - prev)
-    return tuple(parts)
 
 
 def _by_coefficient(items):
@@ -158,18 +146,20 @@ def enumerate_tables(row_margins, col_margins):
 def reading_word_counts(row_margins, col_margins, n):
     """Multiplicity of each reading word over all margin matrices.
 
-    Returns ``{mask: count}`` where ``mask`` encodes the composition read
-    off the non-zero entries row by row (partial-sum bits, see module
-    docstring).  This is the whole content of a basis product: the table
-    shapes are forgotten, only their reading words are tallied.
+    Returns ``{word: count}`` where ``word`` is the tuple of the non-zero
+    entries read row by row.  This is the whole content of a basis
+    product: the table shapes are forgotten, only their reading words are
+    tallied.
 
     The sweep fills one row at a time, memoised for the call on the row
     index and the column sums left, in column order with emptied columns
-    dropped.  The reading word's running sum at the start of row ``i`` is
-    ``n`` minus those sums, so the bits that rows ``i`` onwards set do not
-    depend on the path to the state; they are ORed onto the bits of each
-    filling that leads there.  Within a row, partial fillings merge on
-    (column sums left, row sum left, bits so far).
+    dropped.  The words that rows ``i`` onwards read do not depend on the
+    path to that state, so each is appended to the word of every filling
+    that leads there.  Within a row, partial fillings merge on (column
+    sums left, row sum left, word so far).
+
+    >>> sorted(reading_word_counts((1, 2), (2, 1), 3).items())
+    [((1, 1, 1), 1), ((1, 2), 1)]
     """
     _check_margins(row_margins, col_margins)
     if sum(row_margins) != n:
@@ -179,26 +169,22 @@ def reading_word_counts(row_margins, col_margins, n):
     def sweep(i, cols):
         if (i, cols) not in memo:
             after = sum(cols)
-            # the reading word's running sum once row i is filled
-            row_end = n - after + row_margins[i]
-            fills = {((), row_margins[i], 0): 1}
+            fills = {((), row_margins[i], ()): 1}
             for c in cols:
                 after -= c
                 merged = {}
-                for (rest, left, bits), k in fills.items():
+                for (rest, left, word), k in fills.items():
                     for z in range(max(left - after, 0), min(left, c) + 1):
-                        at = row_end - left + z
                         state = (rest + (c - z,) if z < c else rest, left - z,
-                                 bits | 1 << (at - 1) if z and at < n
-                                 else bits)
+                                 word + (z,) if z else word)
                         merged[state] = merged.get(state, 0) + k
                 fills = merged
             counts = {}
-            for (rest, _, bits), k in fills.items():
+            for (rest, _, word), k in fills.items():
                 # an empty rest means row i was the last one
-                for mask, m in (sweep(i + 1, rest).items() if rest
-                                else ((0, 1),)):
-                    counts[bits | mask] = counts.get(bits | mask, 0) + k * m
+                for tail, m in (sweep(i + 1, rest).items() if rest
+                                else (((), 1),)):
+                    counts[word + tail] = counts.get(word + tail, 0) + k * m
             memo[i, cols] = counts
         return memo[i, cols]
 

@@ -196,8 +196,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    limit = args.max_n if args.max_n is not None else None
-    rows = structure_constants(args.n, max_degree=limit)
+    rows = structure_constants(args.n, max_degree=args.max_n)
     if args.format == "csv":
         write_structure_csv(rows, sys.stdout)
     elif args.format == "structured":
@@ -238,14 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="descents",
         description="Descent algebra of the symmetric group: products, "
                     "verification, tables, graphs.")
+    # read by multiply, verify and table; graph reads neither
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "csv", "structured"],
                         default="text",
                         help="output format (default: text)")
     common.add_argument("--max-n", type=int, default=None, metavar="N",
                         help="raise a default degree bound (prints a warning)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled verification (default: 0)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -271,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="basis products against the group-algebra oracle")
     p.add_argument("--parabolic", action="store_true",
                    help="conjugated Young subgroup checks")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for sampled verification (default: 0)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", parents=[common],
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("graph", parents=[common],
+    p = sub.add_parser("graph",
                        help="graph, presentation and composition of a subset")
     p.add_argument("n", type=int)
     group = p.add_mutually_exclusive_group(required=True)
@@ -300,10 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

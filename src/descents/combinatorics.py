@@ -393,7 +393,7 @@ def contingency_tables(row_margins: Composition,
     """All matrices with the given margins, in the kernels' fixed order
     (row-major lexicographic, largest entries first)."""
     if row_margins.n != col_margins.n:
-        raise ValueError("margins must be compositions of the same n")
+        raise degree_mismatch(row_margins.n, col_margins.n)
     for entries in backend.enumerate_tables(row_margins.parts,
                                             col_margins.parts):
         yield MarginMatrix(entries, row_margins, col_margins)

@@ -106,7 +106,7 @@ class Permutation:
         if not isinstance(other, Permutation):
             return NotImplemented
         if self.n != other.n:
-            raise ValueError("cannot compose permutations of different degree")
+            raise degree_mismatch(self.n, other.n)
         images = self.images
         return Permutation(tuple(images[v - 1] for v in other.images),
                            check=False)

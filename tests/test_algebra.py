@@ -29,7 +29,7 @@ from descents import (
     to_group_algebra,
     write_structure_csv,
 )
-from descents import algebra, backend
+from descents import algebra, backend, cli
 from descents.algebra import STRUCTURE_SCHEMA_VERSION
 
 from _oracles import filter_left_reps, naive_convolve
@@ -85,7 +85,8 @@ def test_degree_mismatch_names_both_degrees():
                  lambda: solomon_multiply(three, four),
                  lambda: oracle_multiply(three, four),
                  lambda: reading_multinomial_sum(three, four),
-                 lambda: counting_identity_holds(three, four)):
+                 lambda: counting_identity_holds(three, four),
+                 lambda: list(contingency_tables(three, four))):
         with pytest.raises(ValueError, match="^degree mismatch: 3 vs 4$"):
             call()
 
@@ -134,6 +135,23 @@ def test_to_group_algebra_bound():
         to_group_algebra(basis_element(Composition((8,))))
     big = to_group_algebra(basis_element(Composition((8,))), max_degree=8)
     assert len(big) == 1
+    # a product under a raised bound caches the indicator of (8), and the
+    # default bound must still refuse it
+    eight = Composition((8,))
+    assert len(oracle_multiply(eight, eight, max_degree=8)) == 1
+    with pytest.raises(ValueError):
+        oracle_multiply(eight, eight)
+
+
+def test_oracle_indicators_cached_once_across_bounds(capsys):
+    # `verify --oracle` raises the bound to n and library callers keep the
+    # default; both sweeps at n=5 share one indicator per composition
+    algebra._basis_indicator.cache_clear()
+    assert cli.main(["verify", "5", "--oracle"]) == 0
+    capsys.readouterr()
+    comps = all_compositions(5)
+    assert all(oracle_agrees(kappa, nu) for kappa in comps for nu in comps)
+    assert algebra._basis_indicator.cache_info().currsize == len(comps) == 16
 
 
 def test_oracle_multiply_counts_products_directly():
@@ -174,8 +192,8 @@ def kernel_drops_one_table(monkeypatch):
 
     def drop_one_table(row_margins, col_margins, n):
         out = dict(counts(row_margins, col_margins, n))
-        out[0b01] -= 1
-        return {mask: c for mask, c in out.items() if c}
+        out[1, 2] -= 1
+        return {word: c for word, c in out.items() if c}
 
     monkeypatch.setattr(backend, "reading_word_counts", drop_one_table)
     algebra._solomon.cache_clear()

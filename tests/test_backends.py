@@ -169,32 +169,13 @@ PARITY_CASES = TABLE_CASES + [c for c in SMALL_PAIRS if c not in TABLE_CASES]
 
 
 def brute_reading_word_counts(nu, kappa):
-    """Reading-word masks tallied over the brute-force tables: the word is
-    the non-zero entries read row by row, and bit ``i-1`` marks each of its
-    proper partial sums ``i``."""
-    n = sum(nu)
+    """Reading words tallied over the brute-force tables: the word is the
+    non-zero entries read row by row."""
     counts = {}
     for table in brute_tables(nu, kappa):
-        word = [v for row in table for v in row if v]
-        mask = 0
-        for partial in itertools.accumulate(word[:-1]):
-            mask |= 1 << (partial - 1)
-        counts[mask] = counts.get(mask, 0) + 1
+        word = tuple(v for row in table for v in row if v)
+        counts[word] = counts.get(word, 0) + 1
     return counts
-
-
-def test_mask_to_parts_convention():
-    # the 2**(n-1) masks give the 2**(n-1) compositions of n, and bit
-    # i-1 is set iff i is a proper partial sum
-    for n in range(1, 8):
-        masks = range(1 << (n - 1))
-        decoded = [backend.mask_to_parts(mask, n) for mask in masks]
-        assert set(decoded) == set(compositions(n))
-        assert len(set(decoded)) == len(masks)
-        for mask, parts in zip(masks, decoded):
-            sums = set(itertools.accumulate(parts[:-1]))
-            for i in range(1, n):
-                assert bool(mask >> (i - 1) & 1) == (i in sums)
 
 
 @pytest.mark.parametrize("nu,kappa", TABLE_CASES)
@@ -244,8 +225,9 @@ def test_sum_reading_multinomials_parity(nu, kappa):
 
 
 def test_reading_word_counts_sparse_at_degree_30():
-    # one table each; a dense tally over all 2**29 masks would need 4 GiB,
-    # so the calls run in a child capped at 1 GiB of address space
+    # one table each; a dense tally over all 2**29 compositions of 30
+    # would need 4 GiB, so the calls run in a child capped at 1 GiB of
+    # address space
     code = ("import resource; cap = 1 << 30; "
             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
             "from descents import backend; "
@@ -256,4 +238,4 @@ def test_reading_word_counts_sparse_at_degree_30():
                          text=True, env=dict(os.environ, PYTHONPATH=src),
                          timeout=60)
     assert out.returncode == 0, out.stderr
-    assert ast.literal_eval(out.stdout) == [{0: 1}, {1 << 28: 1}]
+    assert ast.literal_eval(out.stdout) == [{(30,): 1}, {(29, 1): 1}]

@@ -264,6 +264,22 @@ def test_graph_kappa_sum_mismatch(capsys):
     assert "must sum to n=5" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "3", "--subset", "1", "--format", "structured"],
+    ["graph", "3", "--subset", "1", "--max-n", "2"],
+    ["graph", "3", "--subset", "1", "--seed", "1"],
+    ["multiply", "3", "2,1", "1,2", "--seed", "1"],
+    ["table", "3", "--seed", "1"],
+])
+def test_option_the_subcommand_ignores_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in err
+
+
 def test_n_below_one(capsys):
     rc, _, err = run_cli(capsys, "table", "0")
     assert rc == 2

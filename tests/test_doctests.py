@@ -3,6 +3,7 @@ import doctest
 import pytest
 
 import descents.algebra
+import descents.backend
 import descents.combinatorics
 import descents.cosets
 import descents.perms
@@ -13,6 +14,7 @@ import descents.perms
     descents.combinatorics,
     descents.cosets,
     descents.algebra,
+    descents.backend,
 ])
 def test_module_doctests(module):
     result = doctest.testmod(module)

@@ -131,6 +131,8 @@ def test_algebra_element_mixed_degree_rejected():
         a + b
     with pytest.raises(ValueError, match="^degree mismatch: 2 vs 3$"):
         a * b
+    with pytest.raises(ValueError, match="^degree mismatch: 2 vs 3$"):
+        Permutation((2, 1)) * Permutation((2, 1, 3))
 
 
 def test_product_matches_naive_convolution():
