@@ -295,6 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.command == "multiply" and args.max_n is not None
+            and not args.oracle):
+        # only the oracle check has a degree bound to raise
+        parser.error("unrecognized arguments: --max-n "
+                     "(multiply reads it only with --oracle)")
     if args.n < 1:
         print("error: n must be at least 1", file=sys.stderr)
         return 2

@@ -179,27 +179,33 @@ class OrderedPresentation:
     The constructor validates rather than normalises the order: blocks must
     partition ``1..n`` and already be sorted by their minima, so a claimed
     presentation in the wrong order is rejected, not silently fixed.
+    ``check=False`` is for callers whose blocks are a sorted partition by
+    construction; it skips the validation and the sorting.
     """
 
     __slots__ = ("blocks", "n")
 
-    def __init__(self, blocks: Iterable[Iterable[int]]):
-        blocks = tuple(tuple(sorted(b)) for b in blocks)
-        if not blocks:
-            raise ValueError("presentation needs at least one block")
-        seen: set[int] = set()
-        for b in blocks:
-            if not b:
-                raise ValueError("blocks must be non-empty")
-            if seen & set(b):
-                raise ValueError("blocks must be disjoint")
-            seen |= set(b)
-        n = len(seen)
-        if seen != set(range(1, n + 1)):
-            raise ValueError(f"blocks must partition 1..{n}")
-        mins = [b[0] for b in blocks]
-        if mins != sorted(mins):
-            raise ValueError("blocks must be listed by least element")
+    def __init__(self, blocks: Iterable[Iterable[int]], check: bool = True):
+        if check:
+            blocks = tuple(tuple(sorted(b)) for b in blocks)
+            if not blocks:
+                raise ValueError("presentation needs at least one block")
+            seen: set[int] = set()
+            for b in blocks:
+                if not b:
+                    raise ValueError("blocks must be non-empty")
+                if seen & set(b):
+                    raise ValueError("blocks must be disjoint")
+                seen |= set(b)
+            n = len(seen)
+            if seen != set(range(1, n + 1)):
+                raise ValueError(f"blocks must partition 1..{n}")
+            mins = [b[0] for b in blocks]
+            if mins != sorted(mins):
+                raise ValueError("blocks must be listed by least element")
+        else:
+            blocks = tuple(map(tuple, blocks))
+            n = sum(map(len, blocks))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "n", n)
 
@@ -235,25 +241,29 @@ class MarginMatrix:
     """A non-negative integer matrix together with its margins.
 
     Rows sum to ``row_margins`` and columns to ``col_margins``; the
-    constructor checks both.
+    constructor checks both unless ``check=False``, which is for callers
+    whose entries meet the margins by construction.
     """
 
     __slots__ = ("entries", "row_margins", "col_margins")
 
     def __init__(self, entries: Iterable[Iterable[int]],
-                 row_margins: Composition, col_margins: Composition):
+                 row_margins: Composition, col_margins: Composition,
+                 check: bool = True):
         entries = tuple(tuple(row) for row in entries)
-        s, r = len(row_margins.parts), len(col_margins.parts)
-        if len(entries) != s or any(len(row) != r for row in entries):
-            raise ValueError("matrix shape does not match margins")
-        for row in entries:
-            for v in row:
-                if not isinstance(v, int) or v < 0:
-                    raise ValueError("entries must be non-negative integers")
-        if tuple(sum(row) for row in entries) != row_margins.parts:
-            raise ValueError("row sums do not match row margins")
-        if tuple(sum(col) for col in zip(*entries)) != col_margins.parts:
-            raise ValueError("column sums do not match column margins")
+        if check:
+            s, r = len(row_margins.parts), len(col_margins.parts)
+            if len(entries) != s or any(len(row) != r for row in entries):
+                raise ValueError("matrix shape does not match margins")
+            for row in entries:
+                for v in row:
+                    if not isinstance(v, int) or v < 0:
+                        raise ValueError(
+                            "entries must be non-negative integers")
+            if tuple(sum(row) for row in entries) != row_margins.parts:
+                raise ValueError("row sums do not match row margins")
+            if tuple(sum(col) for col in zip(*entries)) != col_margins.parts:
+                raise ValueError("column sums do not match column margins")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "row_margins", row_margins)
         object.__setattr__(self, "col_margins", col_margins)
@@ -362,7 +372,10 @@ def ordered_presentation(g: SubsetGraph) -> OrderedPresentation:
     groups: dict[int, list[int]] = {}
     for v in range(1, g.n + 1):
         groups.setdefault(find(v), []).append(v)
-    return OrderedPresentation(groups[root] for root in sorted(groups))
+    # each group lists its vertices in increasing order, and the roots are
+    # the least elements: a sorted partition of 1..n by construction
+    return OrderedPresentation((groups[root] for root in sorted(groups)),
+                               check=False)
 
 
 def to_dot(g: SubsetGraph, clustered: bool = True) -> str:
@@ -391,12 +404,15 @@ def to_dot(g: SubsetGraph, clustered: bool = True) -> str:
 def contingency_tables(row_margins: Composition,
                        col_margins: Composition) -> Iterator[MarginMatrix]:
     """All matrices with the given margins, in the kernels' fixed order
-    (row-major lexicographic, largest entries first)."""
+    (row-major lexicographic, largest entries first).
+
+    The tables are built unchecked: the walk meets the margins by
+    construction, and the tests pin it against brute-force enumeration."""
     if row_margins.n != col_margins.n:
         raise degree_mismatch(row_margins.n, col_margins.n)
     for entries in backend.enumerate_tables(row_margins.parts,
                                             col_margins.parts):
-        yield MarginMatrix(entries, row_margins, col_margins)
+        yield MarginMatrix(entries, row_margins, col_margins, check=False)
 
 
 def reading_word(z: MarginMatrix) -> Composition:

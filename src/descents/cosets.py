@@ -5,6 +5,8 @@ of the cosets of the standard parabolic subgroup is cut out by the ascent
 test ``x(h) < x(h+1)`` for every h in K.  A permutation lying in ``X_K``
 whose inverse lies in ``X_J`` meets both conditions at once; these double
 representatives are counted by margin matrices via block intersections.
+Each representative of ``X_K`` is stored with the descent set of its
+inverse, so the double set is ``X_K`` filtered by one bitmask test.
 
 >>> from .combinatorics import GeneratorSubset
 >>> k = GeneratorSubset(3, [2])
@@ -53,26 +55,51 @@ def is_left_rep(x: Permutation, k: GeneratorSubset) -> bool:
     return all(images[h - 1] < images[h] for h in k.members)
 
 
-@lru_cache(maxsize=None)
-def _rep_images(n: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=256)
+def _rep_images(n: int, parts: tuple[int, ...]
+                ) -> tuple[tuple[tuple[int, ...], int], ...]:
     # Choose which values land in each consecutive block of positions; a
-    # block reads its values in increasing order.  Lexicographic output.
-    out: list[tuple[int, ...]] = []
+    # block reads its values in increasing order, and the last block takes
+    # the values left.  Lexicographic output.
+    # Next to each representative x goes the descent mask of x^{-1}: bit
+    # h-1 is set when h+1 comes before h in the images, that is when h+1
+    # lands in an earlier block than h.  A block adds the bits of its
+    # values v whose v-1 is left for later blocks.  256 entries hold every
+    # composition through n=7.
+    out: list[tuple[tuple[int, ...], int]] = []
     images = [0] * n
+    last = len(parts) - 1
 
-    def place(block: int, start: int, pool: tuple[int, ...]) -> None:
-        if block == len(parts):
-            out.append(tuple(images))
+    def place(block: int, start: int, pool: tuple[int, ...],
+              mask: int) -> None:
+        if block == last:
+            images[start:] = pool
+            out.append((tuple(images), mask))
             return
         size = parts[block]
+        pool_bits = sum(1 << v for v in pool)
         for chosen in itertools.combinations(pool, size):
             images[start:start + size] = chosen
-            taken = set(chosen)
+            bits = sum(1 << v for v in chosen)
+            later = pool_bits - bits
             place(block + 1, start + size,
-                  tuple(v for v in pool if v not in taken))
+                  tuple(v for v in pool if not bits >> v & 1),
+                  mask | (bits & later << 1) >> 2)
 
-    place(0, 0, tuple(range(1, n + 1)))
+    place(0, 0, tuple(range(1, n + 1)), 0)
     return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _subset_data(j: GeneratorSubset) -> tuple[tuple[tuple[int, ...], ...],
+                                              Composition]:
+    """The ordered-presentation blocks of J's graph, and J's composition.
+
+    1024 entries hold the 2^(n-1) subsets of any one degree through
+    n=11.  ``ordered_presentation`` is read from this module, so a wrapper
+    placed there sees each miss."""
+    return (ordered_presentation(graph_of_subset(j)).blocks,
+            subset_to_composition(j))
 
 
 def enumerate_left_reps(k: GeneratorSubset,
@@ -84,19 +111,23 @@ def enumerate_left_reps(k: GeneratorSubset,
     factorials of the component sizes.
     """
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
-    parts = subset_to_composition(k).parts
-    for images in _rep_images(k.n, parts):
+    for images, _ in _rep_images(k.n, subset_to_composition(k).parts):
         yield Permutation(images, check=False)
 
 
 def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
                          max_degree: int | None = None) -> Iterator[Permutation]:
-    """Permutations lying in ``X_K`` whose inverses lie in ``X_J``."""
+    """Permutations lying in ``X_K`` whose inverses lie in ``X_J``.
+
+    x^{-1} lies in ``X_J`` when it has no descent in J, so each stored
+    representative is kept when its inverse's descent mask misses J."""
     if j.n != k.n:
         raise degree_mismatch(j.n, k.n)
-    for x in enumerate_left_reps(k, max_degree=max_degree):
-        if is_left_rep(x.inverse(), j):
-            yield x
+    check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
+    j_mask = sum(1 << (h - 1) for h in j.members)
+    for images, mask in _rep_images(k.n, subset_to_composition(k).parts):
+        if not mask & j_mask:
+            yield Permutation(images, check=False)
 
 
 def _intersections(
@@ -119,9 +150,8 @@ def _block_intersections(x: Permutation, j: GeneratorSubset,
     if not (is_left_rep(x, k) and is_left_rep(xinv, j)):
         raise ValueError(
             f"{x.to_text()} is not a double representative for the given pair")
-    j_blocks = ordered_presentation(graph_of_subset(j)).blocks
-    k_blocks = ordered_presentation(graph_of_subset(k)).blocks
-    return _intersections(xinv, j_blocks, [set(b) for b in k_blocks])
+    k_sets = [set(b) for b in _subset_data(k)[0]]
+    return _intersections(xinv, _subset_data(j)[0], k_sets)
 
 
 def intersection_table(x: Permutation, j: GeneratorSubset,
@@ -132,11 +162,12 @@ def intersection_table(x: Permutation, j: GeneratorSubset,
     ``K_m`` run over the ordered components of the two subset graphs.  Rows
     therefore sum to the composition of K and columns to the composition of
     J, and on the double set the map is a bijection onto all margin
-    matrices.
+    matrices.  The rows split the blocks of two partitions of ``1..n``, so
+    the margins hold by construction and the table is built unchecked.
     """
     rows = _block_intersections(x, j, k)
     return MarginMatrix([[len(c) for c in row] for row in rows],
-                        subset_to_composition(k), subset_to_composition(j))
+                        _subset_data(k)[1], _subset_data(j)[1], check=False)
 
 
 def predicted_presentation(x: Permutation, j: GeneratorSubset,
@@ -257,10 +288,9 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
 
     j_graph = graph_of_subset(j)
     k_graph = graph_of_subset(k)
-    j_blocks = ordered_presentation(j_graph).blocks
-    k_sets = [set(b) for b in ordered_presentation(k_graph).blocks]
-    kappa = subset_to_composition(j)
-    nu = subset_to_composition(k)
+    j_blocks, kappa = _subset_data(j)
+    k_blocks, nu = _subset_data(k)
+    k_sets = [set(b) for b in k_blocks]
     if parabolic:
         j_subgroup = _presentation_subgroup(j_blocks)
 
@@ -288,7 +318,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                      f"predicted {predicted.to_text()} "
                      f"but components are {computed.to_text()}")
         table = MarginMatrix([[len(c) for c in row] for row in rows],
-                             nu, kappa)
+                             nu, kappa, check=False)
         word = table.reading_word()
         if computed.block_sizes() != word.parts:
             fail(x, "reading-word",

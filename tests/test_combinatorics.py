@@ -133,6 +133,11 @@ def test_presentation_of_subset_graph_matches_runs():
             assert pres.block_sizes() == subset_to_composition(j).parts
             flat = [v for b in pres.blocks for v in b]
             assert flat == list(range(1, n + 1))
+            # built unchecked by union-find: a validating rebuild agrees
+            if n <= 5:
+                rebuilt = OrderedPresentation(pres.blocks)
+                assert rebuilt == pres
+                assert rebuilt.n == pres.n == n
 
 
 def test_to_dot_contains_clusters_and_edges():
@@ -191,6 +196,17 @@ def test_contingency_tables_match_brute_force():
         for z in got:
             assert z.row_margins.parts == nu
             assert z.col_margins.parts == kappa
+
+
+def test_contingency_tables_pass_validation():
+    # the tables are built unchecked; each must survive a validating
+    # rebuild with the margins it was asked for
+    for n in range(1, 6):
+        comps = all_compositions(n)
+        for kappa in comps:
+            for nu in comps:
+                for z in contingency_tables(nu, kappa):
+                    assert MarginMatrix(z.entries, nu, kappa) == z
 
 
 def test_contingency_tables_mismatched_sums():

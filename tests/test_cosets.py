@@ -9,6 +9,7 @@ from descents import (
     Composition,
     GeneratorSubset,
     MarginMatrix,
+    OrderedPresentation,
     Permutation,
     all_generator_subsets,
     contingency_tables,
@@ -70,6 +71,21 @@ def test_enumerate_left_reps_bound():
     assert next(it) == Permutation.identity(13)
 
 
+def test_rep_images_cache_is_bounded():
+    cache = descents.cosets._rep_images
+    cache.cache_clear()
+    for n in range(1, 8):
+        for k in all_generator_subsets(n):
+            want = math.factorial(n)
+            for p in subset_to_composition(k).parts:
+                want //= math.factorial(p)
+            assert sum(1 for _ in enumerate_left_reps(k)) == want
+    info = cache.cache_info()
+    # all 127 compositions through n=7 stay cached, within the bound
+    assert info.currsize == 127
+    assert info.currsize <= info.maxsize
+
+
 def test_double_set_matches_filter():
     for n in range(1, 6):
         for j in all_generator_subsets(n):
@@ -83,6 +99,14 @@ def test_double_set_matches_filter():
                         want.append(p)
                 got = [x.images for x in enumerate_double_set(j, k)]
                 assert got == want
+
+
+def test_enumerate_double_set_bound():
+    with pytest.raises(ValueError, match="above bound 12"):
+        next(enumerate_double_set(GeneratorSubset(13), GeneratorSubset(13)))
+    full = GeneratorSubset(13, set(range(1, 13)))
+    assert list(enumerate_double_set(full, full, max_degree=13)) == [
+        Permutation.identity(13)]
 
 
 def test_double_set_degree_mismatch():
@@ -105,13 +129,32 @@ def test_degree_mismatch_names_every_degree():
 
 
 def test_intersection_table_margins():
-    for n in range(2, 6):
+    # the table is built unchecked, so a validating rebuild checks its
+    # entries against the margins, not only the margins themselves
+    for n in range(1, 6):
         for j in all_generator_subsets(n):
             for k in all_generator_subsets(n):
                 for x in enumerate_double_set(j, k):
                     z = intersection_table(x, j, k)
                     assert z.row_margins == subset_to_composition(k)
                     assert z.col_margins == subset_to_composition(j)
+                    assert MarginMatrix(z.entries, z.row_margins,
+                                        z.col_margins) == z
+
+
+def test_intersection_graph_presentations_pass_validation():
+    # union-find builds its presentation unchecked; each must survive a
+    # validating rebuild
+    for n in range(1, 6):
+        for j in all_generator_subsets(n):
+            for k in all_generator_subsets(n):
+                for x in enumerate_double_set(j, k):
+                    p = ordered_presentation(
+                        intersect(graph_of_subset(j).image_under(x.inverse()),
+                                  graph_of_subset(k)))
+                    rebuilt = OrderedPresentation(p.blocks)
+                    assert rebuilt == p
+                    assert rebuilt.n == p.n == n
 
 
 def test_intersection_table_small_example():

@@ -15,7 +15,9 @@ from descents import (
     GroupAlgebraElement,
     Permutation,
     algebra,
+    all_generator_subsets,
     basis_element,
+    cosets,
 )
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -68,3 +70,33 @@ def test_tracer_sees_one_sweep_per_checked_product():
     assert spans["backend.sum_reading_multinomials"][0] == 1
     assert tracer.counts["backend.reading_word_counts.tables"] == 2
     assert tracer.counts["algebra.product_lookups"] == 2
+
+
+def test_tracer_sees_one_presentation_per_witness():
+    # with the subset blocks cached, the lemma op's only union-find runs
+    # are the intersection graphs, one per witness: 281 at n=4
+    tracer_module = load_tracer()
+    subsets = all_generator_subsets(4)
+
+    def lemma_pass():
+        witnesses = 0
+        for j in subsets:
+            for k in subsets:
+                report = cosets.verify_subset_pair(j, k, parabolic=False)
+                assert report.passed
+                witnesses += report.witnesses
+                for x in cosets.enumerate_double_set(j, k):
+                    cosets.intersection_table(x, j, k)
+        return witnesses
+
+    lemma_pass()
+    tracer = tracer_module.Tracer()
+    tracer_module.install(tracer)
+    try:
+        witnesses = lemma_pass()
+    finally:
+        tracer.remove()
+    spans = tracer.by_name()
+    assert witnesses == 281
+    assert spans["cosets.intersection_table"][0] == 281
+    assert spans["combinatorics.ordered_presentation"][0] == 281
