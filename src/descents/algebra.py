@@ -8,8 +8,14 @@ its reading word, so
     B(kappa) * B(nu) = sum over such matrices of B(reading word).
 
 The group-algebra oracle recomputes the same product by brute force from
-the defining sums and must agree exactly.  Elements of both algebras share
-one base, ``perms._IntegerCombination``, for their coefficient arithmetic.
+the defining sums and must agree exactly.  :func:`oracle_agrees` compares
+the two as plain ``{images: coefficient}`` dicts: the table product spread
+over S_n's descent classes, listed once per degree, against the raw
+:func:`backend.convolve` of the two cached indicators.  Elements of both
+algebras share one base, ``perms._IntegerCombination``, for their
+coefficient arithmetic; :func:`to_group_algebra` and
+:func:`oracle_multiply` build them, as the reference the lean comparison
+must match.
 
 >>> kappa, nu = Composition((2, 1)), Composition((1, 2))
 >>> str(solomon_multiply(kappa, nu))
@@ -122,17 +128,31 @@ def element_multiply(a: DescentElement, b: DescentElement) -> DescentElement:
     return DescentElement(a.n, terms, check=False)
 
 
-def to_group_algebra(a: DescentElement,
-                     max_degree: int | None = None) -> GroupAlgebraElement:
-    """Expand into the group algebra: each ``B(eta)`` becomes the sum of
-    its coset representatives.
+# One entry per degree: S_n's image tuples, listed once by descent set
+# (index d has bit h-1 set for each descent h), in lexicographic order
+# within each class.  An entry lists 720 tuples in 32 classes at n=6
+# (0.07 MiB by tracemalloc), 5 040 in 64 at n=7 (0.5 MiB) and 40 320 in
+# 128 at n=8 (4.3 MiB); four entries cover the degrees a sweep moves
+# between, and even n=5..8 together stay under 5 MiB.
+@lru_cache(maxsize=4)
+def _descent_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    classes: list[list[tuple[int, ...]]] = [[] for _ in range(1 << (n - 1))]
+    for images in itertools.permutations(range(1, n + 1)):
+        d = 0
+        for h in range(n - 1):
+            if images[h] > images[h + 1]:
+                d |= 1 << h
+        classes[d].append(images)
+    return tuple(map(tuple, classes))
+
+
+def _expand(a: DescentElement) -> dict[tuple[int, ...], int]:
+    """``{images: coefficient}`` of ``a`` in the group algebra.
 
     The coefficient a permutation receives depends only on its descent
-    set, so the expansion precomputes one weight per descent class and
-    then sweeps S_n once.
+    set: one range-checked weight per descent class, spread over the
+    class's cached image tuples.  The caller has checked the degree.
     """
-    n = a.n
-    check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
     masks = []
     for comp, coeff in a.terms.items():
         required = composition_to_subset(comp).members
@@ -140,24 +160,25 @@ def to_group_algebra(a: DescentElement,
         for i in required:
             m |= 1 << (i - 1)
         masks.append((m, coeff))
-    size = 1 << (n - 1)
-    weight = [0] * size
-    for d in range(size):
+    terms: dict[tuple[int, ...], int] = {}
+    for d, images in enumerate(_descent_classes(a.n)):
         w = 0
         for m, coeff in masks:
             if m & d == 0:  # no required ascent is a descent
                 w += coeff
-        weight[d] = check_coefficient(w)
-    terms: dict[Permutation, int] = {}
-    for images in itertools.permutations(range(1, n + 1)):
-        d = 0
-        for h in range(n - 1):
-            if images[h] > images[h + 1]:
-                d |= 1 << h
-        w = weight[d]
-        if w:
-            terms[Permutation(images, check=False)] = w
-    return GroupAlgebraElement(n, terms, check=False)
+        if check_coefficient(w):
+            terms.update(dict.fromkeys(images, w))
+    return terms
+
+
+def to_group_algebra(a: DescentElement,
+                     max_degree: int | None = None) -> GroupAlgebraElement:
+    """Expand into the group algebra: each ``B(eta)`` becomes the sum of
+    its coset representatives."""
+    check_degree(a.n, max_degree, ORACLE_DEGREE_DEFAULT)
+    terms = {Permutation(images, check=False): c
+             for images, c in _expand(a).items()}
+    return GroupAlgebraElement(a.n, terms, check=False)
 
 
 # 256 holds the indicators of all 127 compositions through n=7; the
@@ -184,6 +205,11 @@ def oracle_multiply(kappa: Composition, nu: Composition,
     return algebra_multiply(a, b)
 
 
+def _indicator_items(n: int, parts: tuple[int, ...]
+                     ) -> list[tuple[tuple[int, ...], int]]:
+    return [(p.images, c) for p, c in _basis_indicator(n, parts).terms.items()]
+
+
 def oracle_mismatch(kappa: Composition, nu: Composition,
                     max_degree: int | None = None
                     ) -> tuple[Permutation, int, int] | None:
@@ -192,15 +218,28 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
     ``None`` when they agree; otherwise ``(permutation, table_coefficient,
     oracle_coefficient)`` for the smallest permutation, in one-line order,
     whose coefficient differs between the two routes.
+
+    The verdict is what comparing ``to_group_algebra(solomon_multiply(kappa,
+    nu))`` with ``oracle_multiply(kappa, nu)`` gives, reached without
+    building either element: the table product is expanded to one
+    ``{images: coefficient}`` dict by descent class, the raw
+    :func:`backend.convolve` of the two cached indicators is the other,
+    and a ``Permutation`` is built only to name a difference.
     """
-    table = to_group_algebra(solomon_multiply(kappa, nu),
-                             max_degree=max_degree)
-    oracle = oracle_multiply(kappa, nu, max_degree=max_degree)
+    if kappa.n != nu.n:
+        raise degree_mismatch(kappa.n, nu.n)
+    n = kappa.n
+    check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
+    table = _expand(solomon_multiply(kappa, nu))
+    # through the module attribute, so a wrapper on it sees every check
+    oracle = backend.convolve(n, _indicator_items(n, kappa.parts),
+                              _indicator_items(n, nu.parts))
     if table == oracle:
         return None
-    perm = min(p for p in table.terms.keys() | oracle.terms.keys()
-               if table.coefficient(p) != oracle.coefficient(p))
-    return perm, table.coefficient(perm), oracle.coefficient(perm)
+    images = min(z for z in table.keys() | oracle.keys()
+                 if table.get(z, 0) != oracle.get(z, 0))
+    return (Permutation(images, check=False), table.get(images, 0),
+            oracle.get(images, 0))
 
 
 def oracle_agrees(kappa: Composition, nu: Composition,

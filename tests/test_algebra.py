@@ -212,6 +212,104 @@ def test_oracle_mismatch_names_permutation_and_coefficients(
     assert not oracle_agrees(kappa, nu)
 
 
+def reference_mismatch(kappa, nu):
+    """``oracle_mismatch`` by element equality of the reference routes."""
+    table = to_group_algebra(solomon_multiply(kappa, nu))
+    oracle = oracle_multiply(kappa, nu)
+    if table == oracle:
+        return None
+    perm = min(p for p in table.terms.keys() | oracle.terms.keys()
+               if table.coefficient(p) != oracle.coefficient(p))
+    return perm, table.coefficient(perm), oracle.coefficient(perm)
+
+
+def all_pairs(max_n):
+    for n in range(1, max_n + 1):
+        comps = all_compositions(n)
+        yield from itertools.product(comps, comps)
+
+
+def test_lean_oracle_matches_reference():
+    rng = random.Random(11)
+    comps6 = all_compositions(6)
+    pairs = list(all_pairs(5)) + [(rng.choice(comps6), rng.choice(comps6))
+                                  for _ in range(30)]
+    assert len(pairs) == 341 + 30
+    for kappa, nu in pairs:
+        got = oracle_mismatch(kappa, nu)
+        assert got == reference_mismatch(kappa, nu) is None, (kappa, nu)
+        assert oracle_agrees(kappa, nu)
+
+
+@pytest.fixture
+def kernel_drops_a_table_everywhere(monkeypatch):
+    """Patch the sweep to drop one table, of the largest reading word,
+    from every product with two or more tables."""
+    counts = backend.reading_word_counts
+
+    def drop_one_table(row_margins, col_margins, n):
+        out = dict(counts(row_margins, col_margins, n))
+        if sum(out.values()) >= 2:
+            word = max(out)
+            out[word] -= 1
+            if not out[word]:
+                del out[word]
+        return out
+
+    monkeypatch.setattr(backend, "reading_word_counts", drop_one_table)
+    algebra._solomon.cache_clear()
+    yield counts
+    algebra._solomon.cache_clear()
+
+
+def test_lean_oracle_names_what_reference_names(
+        kernel_drops_a_table_everywhere):
+    counts = kernel_drops_a_table_everywhere
+    broken = 0
+    for kappa, nu in all_pairs(4):
+        tables = sum(counts(nu.parts, kappa.parts, kappa.n).values())
+        got = oracle_mismatch(kappa, nu)
+        assert got == reference_mismatch(kappa, nu), (kappa, nu)
+        assert oracle_agrees(kappa, nu) is (got is None)
+        # distinct basis elements expand to distinct group-algebra elements
+        assert (got is None) is (tables < 2), (kappa, nu)
+        broken += got is not None
+    assert broken > 0
+
+
+def test_lean_oracle_reads_the_convolution(monkeypatch):
+    kappa, nu = Composition((2, 2)), Composition((1, 2, 1))
+    honest = {p.images: c for p, c in oracle_multiply(kappa, nu).terms.items()}
+    target = max(honest)
+    convolve = backend.convolve
+
+    def short_one(n, a_items, b_items):
+        out = convolve(n, a_items, b_items)
+        out[target] -= 1
+        if not out[target]:
+            del out[target]
+        return out
+
+    monkeypatch.setattr(backend, "convolve", short_one)
+    assert not oracle_agrees(kappa, nu)
+    perm, table_coeff, oracle_coeff = oracle_mismatch(kappa, nu)
+    assert perm == Permutation(target)
+    assert (table_coeff, oracle_coeff) == (honest[target],
+                                           honest[target] - 1)
+
+
+def test_oracle_degree_bound_checked_before_sweep():
+    eight = Composition((8,))
+    algebra._descent_classes.cache_clear()
+    for call in (oracle_agrees, oracle_mismatch):
+        with pytest.raises(ValueError, match="^degree 8 above bound 7"):
+            call(eight, eight)
+    assert algebra._descent_classes.cache_info().currsize == 0
+    assert oracle_agrees(eight, eight, max_degree=8)
+    assert oracle_mismatch(eight, eight, max_degree=8) is None
+    algebra._descent_classes.cache_clear()  # drop the 4 MiB S_8 entry
+
+
 def test_oracle_agrees_spot_check_degree_six():
     rng = random.Random(5)
     comps = all_compositions(6)

@@ -18,6 +18,7 @@ from descents import (
     all_generator_subsets,
     basis_element,
     cosets,
+    left_rep_count,
 )
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -49,6 +50,23 @@ def test_tracer_sees_element_products():
     assert tracer.counts["algebra.product_lookups"] == len(a) * len(b)
     # every patch is undone: the product cache is the lru_cache again
     assert callable(algebra._solomon.cache_clear)
+
+
+def test_tracer_sees_one_convolution_per_oracle_check():
+    # the lean comparison convolves the raw indicators through the
+    # ``backend.convolve`` attribute, once per check
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    kappa, nu = Composition((2, 2)), Composition((1, 2, 1))
+    tracer_module.install(tracer)
+    try:
+        assert algebra.oracle_agrees(kappa, nu)
+    finally:
+        tracer.remove()
+    spans = tracer.by_name()
+    assert spans["backend.convolve"][0] == 1
+    assert (tracer.counts["backend.convolve.term_pairs"]
+            == left_rep_count(kappa) * left_rep_count(nu) == 6 * 12)
 
 
 def test_tracer_sees_one_sweep_per_checked_product():
