@@ -33,8 +33,8 @@ from typing import Iterable, TextIO
 from . import backend
 from .backend import check_coefficient
 from .combinatorics import Composition, all_compositions, composition_to_subset
-from .cosets import BASIS_DEGREE_MAX
 from .perms import (
+    BASIS_DEGREE_MAX,
     ORACLE_DEGREE_DEFAULT,
     GroupAlgebraElement,
     Permutation,
@@ -97,7 +97,8 @@ def identity_element(n: int) -> DescentElement:
 def _solomon(n: int, kappa_parts: tuple[int, ...],
              nu_parts: tuple[int, ...]) -> DescentElement:
     counts = backend.reading_word_counts(nu_parts, kappa_parts, n)
-    terms = {Composition(word): c for word, c in counts.items()}
+    # each word is the non-zero entries of a table: positive parts
+    terms = {Composition(word, check=False): c for word, c in counts.items()}
     return DescentElement(n, terms, check=False)
 
 

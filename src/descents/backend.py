@@ -105,41 +105,50 @@ def _check_margins(row_margins, col_margins):
         raise ValueError("row and column margins must have equal totals")
 
 
+def _row_fillings(total, cols):
+    """Every row summing to ``total`` with cells at most ``cols``, largest
+    first, each paired with the column sums it leaves."""
+    fills = [((), (), total)]
+    after = sum(cols)
+    for c in cols:
+        after -= c
+        fills = [(row + (z,), rest + (c - z,), left - z)
+                 for row, rest, left in fills
+                 for z in range(min(left, c), max(left - after, 0) - 1, -1)]
+    return [(row, rest) for row, rest, _ in fills]
+
+
 def enumerate_tables(row_margins, col_margins):
     """All non-negative integer matrices with the given margins.
 
     Emitted in row-major lexicographic order with the largest entries
-    first; callers and tests rely on that order.
+    first; callers and tests rely on that order.  The walk fills one row
+    at a time; each row's fillings are memoised for the call on the row
+    index and the column sums left, and the last row is forced: it is
+    the column sums left.
+
+    >>> enumerate_tables((2, 1), (1, 2))
+    [((1, 1), (0, 1)), ((0, 2), (1, 0))]
     """
     _check_margins(row_margins, col_margins)
-    s, r = len(row_margins), len(col_margins)
-    col_rem = list(col_margins)
-    later_rows = [sum(row_margins[i + 1:]) for i in range(s)]
-    cells = [[0] * r for _ in range(s)]
+    last = len(row_margins) - 1
+    memo = {}
+    prefix = []
     out = []
 
-    def rec(i, j, row_rem, later_cols):
-        if j == r:
-            if i + 1 == s:
-                out.append(tuple(tuple(row) for row in cells))
-            else:
-                rec(i + 1, 0, row_margins[i + 1], sum(col_rem) - col_rem[0])
+    def walk(i, cols):
+        if i == last:
+            out.append((*prefix, cols))
             return
-        crj = col_rem[j]
-        hi = row_rem if row_rem < crj else crj
-        lo = row_rem - later_cols
-        if crj - later_rows[i] > lo:
-            lo = crj - later_rows[i]
-        if lo < 0:
-            lo = 0
-        nxt_later = later_cols - (col_rem[j + 1] if j + 1 < r else 0)
-        for v in range(hi, lo - 1, -1):
-            cells[i][j] = v
-            col_rem[j] = crj - v
-            rec(i, j + 1, row_rem - v, nxt_later)
-        col_rem[j] = crj
+        fills = memo.get((i, cols))
+        if fills is None:
+            fills = memo[i, cols] = _row_fillings(row_margins[i], cols)
+        for row, rest in fills:
+            prefix.append(row)
+            walk(i + 1, rest)
+            prefix.pop()
 
-    rec(0, 0, row_margins[0], sum(col_margins) - col_margins[0])
+    walk(0, tuple(col_margins))
     return out
 
 

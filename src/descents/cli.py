@@ -62,7 +62,7 @@ def cmd_multiply(args) -> int:
 
     matrices = []
     if args.show_matrices:
-        matrices = list(contingency_tables(nu, kappa))
+        matrices = list(contingency_tables(nu, kappa, max_degree=args.max_n))
 
     oracle_ok = None
     if args.oracle:
@@ -296,10 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if (args.command == "multiply" and args.max_n is not None
-            and not args.oracle):
-        # only the oracle check has a degree bound to raise
-        parser.error("unrecognized arguments: --max-n "
-                     "(multiply reads it only with --oracle)")
+            and not (args.oracle or args.show_matrices)):
+        # only the oracle check and the table listing have a degree bound
+        parser.error("unrecognized arguments: --max-n (multiply reads it "
+                     "only with --oracle or --show-matrices)")
     if args.n < 1:
         print("error: n must be at least 1", file=sys.stderr)
         return 2

@@ -19,21 +19,32 @@ import itertools
 from typing import Iterable, Iterator
 
 from . import backend
-from .perms import Permutation, degree_mismatch
+from .perms import (
+    BASIS_DEGREE_MAX,
+    Permutation,
+    check_degree,
+    degree_mismatch,
+)
 
 
 class Composition:
-    """A sequence of positive integers; ``n`` is their sum."""
+    """A sequence of positive integers; ``n`` is their sum.
+
+    ``check=False`` is for callers whose parts are positive integers by
+    construction; it skips the validation.
+    """
 
     __slots__ = ("parts", "n")
 
-    def __init__(self, parts: Iterable[int]):
+    def __init__(self, parts: Iterable[int], check: bool = True):
         parts = tuple(parts)
-        if not parts:
-            raise ValueError("a composition needs at least one part")
-        for p in parts:
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"parts must be positive integers: {parts!r}")
+        if check:
+            if not parts:
+                raise ValueError("a composition needs at least one part")
+            for p in parts:
+                if not isinstance(p, int) or p < 1:
+                    raise ValueError(
+                        f"parts must be positive integers: {parts!r}")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "n", sum(parts))
 
@@ -124,39 +135,49 @@ class SubsetGraph:
 
     Graphs of generator subsets only have edges ``{i, i+1}``, but images
     under a permutation produce arbitrary edges, which is why components
-    are found by union-find rather than by scanning runs.
+    are found by union-find rather than by scanning runs.  ``check=False``
+    is for callers whose edges are already a frozenset of pairs ``(u, v)``
+    with ``1 <= u < v <= n``; it keeps them as they are.
     """
 
     __slots__ = ("n", "edges")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 1:
-            raise ValueError("degree must be at least 1")
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop edge at {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) outside 1..{n}")
-            norm.add((u, v) if u < v else (v, u))
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
+                 check: bool = True):
+        if check:
+            if n < 1:
+                raise ValueError("degree must be at least 1")
+            norm = set()
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"loop edge at {u}")
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ValueError(f"edge ({u},{v}) outside 1..{n}")
+                norm.add((u, v) if u < v else (v, u))
+            edges = frozenset(norm)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "edges", edges)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubsetGraph is immutable")
 
     def image_under(self, x: Permutation) -> "SubsetGraph":
-        """Relabel every vertex v as x(v)."""
+        """Relabel every vertex v as x(v).
+
+        A permutation maps an edge to two distinct vertices of ``1..n``,
+        so the image is built unchecked once each pair is ordered."""
         if x.n != self.n:
             raise degree_mismatch(x.n, self.n)
         img = x.images
-        return SubsetGraph(self.n,
-                           ((img[u - 1], img[v - 1]) for u, v in self.edges))
+        edges = frozenset((a, b) if a < b else (b, a)
+                          for a, b in ((img[u - 1], img[v - 1])
+                                       for u, v in self.edges))
+        return SubsetGraph(self.n, edges, check=False)
 
     def intersection(self, other: "SubsetGraph") -> "SubsetGraph":
         if self.n != other.n:
             raise degree_mismatch(self.n, other.n)
-        return SubsetGraph(self.n, self.edges & other.edges)
+        return SubsetGraph(self.n, self.edges & other.edges, check=False)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -242,7 +263,8 @@ class MarginMatrix:
 
     Rows sum to ``row_margins`` and columns to ``col_margins``; the
     constructor checks both unless ``check=False``, which is for callers
-    whose entries meet the margins by construction.
+    whose entries are a tuple of row tuples meeting the margins by
+    construction, kept as they are given.
     """
 
     __slots__ = ("entries", "row_margins", "col_margins")
@@ -250,8 +272,8 @@ class MarginMatrix:
     def __init__(self, entries: Iterable[Iterable[int]],
                  row_margins: Composition, col_margins: Composition,
                  check: bool = True):
-        entries = tuple(tuple(row) for row in entries)
         if check:
+            entries = tuple(tuple(row) for row in entries)
             s, r = len(row_margins.parts), len(col_margins.parts)
             if len(entries) != s or any(len(row) != r for row in entries):
                 raise ValueError("matrix shape does not match margins")
@@ -401,15 +423,20 @@ def to_dot(g: SubsetGraph, clustered: bool = True) -> str:
 # ---------------------------------------------------------------------------
 # margin matrices
 
-def contingency_tables(row_margins: Composition,
-                       col_margins: Composition) -> Iterator[MarginMatrix]:
+def contingency_tables(row_margins: Composition, col_margins: Composition,
+                       max_degree: int | None = None
+                       ) -> Iterator[MarginMatrix]:
     """All matrices with the given margins, in the kernels' fixed order
     (row-major lexicographic, largest entries first).
 
-    The tables are built unchecked: the walk meets the margins by
-    construction, and the tests pin it against brute-force enumeration."""
+    The count can reach n!, so the degree is capped at
+    :data:`~descents.perms.BASIS_DEGREE_MAX` unless ``max_degree`` raises
+    the bound.  The tables are built unchecked: the walk meets the margins
+    by construction, and the tests pin it against brute-force
+    enumeration."""
     if row_margins.n != col_margins.n:
         raise degree_mismatch(row_margins.n, col_margins.n)
+    check_degree(row_margins.n, max_degree, BASIS_DEGREE_MAX)
     for entries in backend.enumerate_tables(row_margins.parts,
                                             col_margins.parts):
         yield MarginMatrix(entries, row_margins, col_margins, check=False)

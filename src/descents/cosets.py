@@ -6,7 +6,9 @@ test ``x(h) < x(h+1)`` for every h in K.  A permutation lying in ``X_K``
 whose inverse lies in ``X_J`` meets both conditions at once; these double
 representatives are counted by margin matrices via block intersections.
 Each representative of ``X_K`` is stored with the descent set of its
-inverse, so the double set is ``X_K`` filtered by one bitmask test.
+inverse, so the double set is ``X_K`` filtered by one bitmask test.  Each
+subset caches the index of the block that holds every vertex, so one pass
+over a representative's images places each position in its intersection.
 
 >>> from .combinatorics import GeneratorSubset
 >>> k = GeneratorSubset(3, [2])
@@ -32,11 +34,12 @@ from .combinatorics import (
     ordered_presentation,
     subset_to_composition,
 )
-from .perms import Permutation, check_degree, degree_mismatch
-
-#: Representative enumeration is output-linear but outputs can reach n!,
-#: so the degree is capped unless the caller raises the bound.
-BASIS_DEGREE_MAX = 12
+from .perms import (  # noqa: F401 (BASIS_DEGREE_MAX is re-exported)
+    BASIS_DEGREE_MAX,
+    Permutation,
+    check_degree,
+    degree_mismatch,
+)
 
 #: Default degree caps for the exhaustive verification sweeps.
 LEMMA_DEGREE_DEFAULT = 6
@@ -92,14 +95,20 @@ def _rep_images(n: int, parts: tuple[int, ...]
 
 @lru_cache(maxsize=1024)
 def _subset_data(j: GeneratorSubset) -> tuple[tuple[tuple[int, ...], ...],
-                                              Composition]:
-    """The ordered-presentation blocks of J's graph, and J's composition.
+                                              Composition, tuple[int, ...]]:
+    """The ordered-presentation blocks of J's graph, J's composition, and
+    ``where``: ``where[v]`` is the index of the block that holds vertex v
+    (``where[0]`` is unused).
 
     1024 entries hold the 2^(n-1) subsets of any one degree through
     n=11.  ``ordered_presentation`` is read from this module, so a wrapper
     placed there sees each miss."""
-    return (ordered_presentation(graph_of_subset(j)).blocks,
-            subset_to_composition(j))
+    blocks = ordered_presentation(graph_of_subset(j)).blocks
+    where = [-1] * (j.n + 1)
+    for q, block in enumerate(blocks):
+        for v in block:
+            where[v] = q
+    return blocks, subset_to_composition(j), tuple(where)
 
 
 def enumerate_left_reps(k: GeneratorSubset,
@@ -130,28 +139,42 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
             yield Permutation(images, check=False)
 
 
-def _intersections(
-        xinv: Permutation, j_blocks: tuple[tuple[int, ...], ...],
-        k_sets: list[set[int]]) -> list[list[set[int]]]:
-    """``x^{-1}(J_q) & K_m``: one row per K block, one entry per J block."""
-    xi = xinv.images
-    pulled = [{xi[u - 1] for u in block} for block in j_blocks]
-    return [[pb & km for pb in pulled] for km in k_sets]
+def _cells(images: tuple[int, ...], j_data, k_data) -> list[list[int]]:
+    """``x^{-1}(J_q) & K_m`` for every ``(m, q)``, row-major with q inner,
+    ``J_q`` and ``K_m`` in the order of their subset graph's ordered
+    presentation; ``j_data`` and ``k_data`` are the subsets'
+    :func:`_subset_data`.
+
+    Position p lies in ``K_m`` for ``m = where_K[p]``, and in
+    ``x^{-1}(J_q)`` for ``q = where_J[x(p)]``, so one pass over the images
+    drops each position into its cell, in increasing order."""
+    j_blocks, _, j_where = j_data
+    k_blocks, _, k_where = k_data
+    r = len(j_blocks)
+    cells = [[] for _ in range(r * len(k_blocks))]
+    for p, v in enumerate(images, 1):
+        cells[k_where[p] * r + j_where[v]].append(p)
+    return cells
 
 
-def _block_intersections(x: Permutation, j: GeneratorSubset,
-                         k: GeneratorSubset) -> list[list[set[int]]]:
+def _cell_counts(cells: list[list[int]], r: int) -> tuple[tuple[int, ...], ...]:
+    """The cell sizes as a tuple of row tuples, ``r`` cells a row."""
+    return tuple(zip(*[map(len, cells)] * r))
+
+
+def _checked_cells(x: Permutation, j: GeneratorSubset,
+                   k: GeneratorSubset) -> list[list[int]]:
     """Check that x is a double representative of the pair, then return
-    its block intersections, with ``J_q`` and ``K_m`` in the order of
-    their subset graph's ordered presentation."""
+    its :func:`_cells`."""
     if x.n != j.n or j.n != k.n:
         raise degree_mismatch(x.n, j.n, k.n)
-    xinv = x.inverse()
-    if not (is_left_rep(x, k) and is_left_rep(xinv, j)):
+    images = x.images
+    # x^{-1} ascends at h when the value h stands before h + 1
+    if not (is_left_rep(x, k) and all(images.index(h) < images.index(h + 1)
+                                      for h in j.members)):
         raise ValueError(
             f"{x.to_text()} is not a double representative for the given pair")
-    k_sets = [set(b) for b in _subset_data(k)[0]]
-    return _intersections(xinv, _subset_data(j)[0], k_sets)
+    return _cells(images, _subset_data(j), _subset_data(k))
 
 
 def intersection_table(x: Permutation, j: GeneratorSubset,
@@ -162,21 +185,25 @@ def intersection_table(x: Permutation, j: GeneratorSubset,
     ``K_m`` run over the ordered components of the two subset graphs.  Rows
     therefore sum to the composition of K and columns to the composition of
     J, and on the double set the map is a bijection onto all margin
-    matrices.  The rows split the blocks of two partitions of ``1..n``, so
-    the margins hold by construction and the table is built unchecked.
+    matrices.  x is first checked to be a double representative.  Each
+    position p of x is then counted in cell ``(where_K[p], where_J[x(p)])``
+    in one pass, with no inverse and no set operations.  The cells split
+    two partitions of ``1..n``, so the margins hold by construction and
+    the table is built unchecked.
     """
-    rows = _block_intersections(x, j, k)
-    return MarginMatrix([[len(c) for c in row] for row in rows],
-                        _subset_data(k)[1], _subset_data(j)[1], check=False)
+    cells = _checked_cells(x, j, k)
+    kappa = _subset_data(j)[1]
+    return MarginMatrix(_cell_counts(cells, len(kappa)), _subset_data(k)[1],
+                        kappa, check=False)
 
 
 def predicted_presentation(x: Permutation, j: GeneratorSubset,
                            k: GeneratorSubset) -> OrderedPresentation:
     """The intersections ``x^{-1}(J_q) & K_m`` listed q-inner, empty ones
     dropped.  For a double representative this lists the components of the
-    intersection graph in least-element order."""
-    rows = _block_intersections(x, j, k)
-    return OrderedPresentation(c for row in rows for c in row if c)
+    intersection graph in least-element order; the presentation is
+    validated, so a list out of that order is rejected."""
+    return OrderedPresentation(c for c in _checked_cells(x, j, k) if c)
 
 
 def _presentation_subgroup(blocks) -> set[Permutation]:
@@ -253,9 +280,10 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                        max_degree: int | None = None) -> PairReport:
     """Check every double representative of a pair against four claims.
 
-    The block intersections ``x^{-1}(J_q) & K_m`` of each witness x give
-    its predicted presentation (the non-empty ones, q inner) and its
-    intersection table (their sizes).
+    The block intersections ``x^{-1}(J_q) & K_m`` of each witness x,
+    found by one pass over its images, give its predicted presentation
+    (the non-empty ones, q inner) and its intersection table (their
+    sizes).
 
     * ``presentation`` - the predicted presentation equals the ordered
       presentation of the intersection graph ``x^{-1}(graph J) & graph K``,
@@ -288,11 +316,16 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
 
     j_graph = graph_of_subset(j)
     k_graph = graph_of_subset(k)
-    j_blocks, kappa = _subset_data(j)
-    k_blocks, nu = _subset_data(k)
-    k_sets = [set(b) for b in k_blocks]
+    j_data, k_data = _subset_data(j), _subset_data(k)
+    j_blocks, kappa, _ = j_data
+    k_blocks, nu, _ = k_data
+    r = len(kappa)
+    # both enumerations admit every degree through their own bound; only
+    # above it does the caller's raised bound need to reach them
+    bound = {"max_degree": max_degree} if n > BASIS_DEGREE_MAX else {}
     if parabolic:
         j_subgroup = _presentation_subgroup(j_blocks)
+        k_sets = [set(b) for b in k_blocks]
 
     def fail(x: Permutation | None, check: str, detail: str) -> None:
         report.failure_count += 1
@@ -301,15 +334,14 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
             report.failures.append(PairFailure(x_text, check, detail))
 
     hit: dict[MarginMatrix, Permutation] = {}
-    for x in enumerate_double_set(j, k):
+    for x in enumerate_double_set(j, k, **bound):
         report.witnesses += 1
         xinv = x.inverse()
         computed = ordered_presentation(
             intersect(j_graph.image_under(xinv), k_graph))
-        rows = _intersections(xinv, j_blocks, k_sets)
+        cells = _cells(x.images, j_data, k_data)
         try:
-            predicted = OrderedPresentation(
-                c for row in rows for c in row if c)
+            predicted = OrderedPresentation(c for c in cells if c)
         except ValueError as exc:
             fail(x, "presentation", f"prediction rejected: {exc}")
         else:
@@ -317,13 +349,12 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                 fail(x, "presentation",
                      f"predicted {predicted.to_text()} "
                      f"but components are {computed.to_text()}")
-        table = MarginMatrix([[len(c) for c in row] for row in rows],
-                             nu, kappa, check=False)
-        word = table.reading_word()
-        if computed.block_sizes() != word.parts:
+        table = MarginMatrix(_cell_counts(cells, r), nu, kappa, check=False)
+        word = tuple(v for row in table.entries for v in row if v)
+        if computed.block_sizes() != word:
             fail(x, "reading-word",
                  f"component sizes {computed.block_sizes()} "
-                 f"!= reading word {word.parts}")
+                 f"!= reading word {word}")
         if table in hit:
             fail(x, "bijection", f"table {table.to_text()} "
                                  f"already hit by {hit[table].to_text()}")
@@ -341,7 +372,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                      f"conjugated intersection has {len(conjugated)} "
                      f"elements, Young subgroup has {len(expected)}")
 
-    tables = list(contingency_tables(nu, kappa))
+    tables = list(contingency_tables(nu, kappa, **bound))
     reference = set(tables)
     for table, x in hit.items():
         if table not in reference:

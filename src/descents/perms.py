@@ -31,6 +31,10 @@ from .backend import INT64_MAX, INT64_MIN, check_coefficient  # noqa: F401
 #: an explicit override.
 ORACLE_DEGREE_DEFAULT = 7
 
+#: Representative and table enumeration is output-linear but outputs can
+#: reach n!, so the degree is capped unless the caller raises the bound.
+BASIS_DEGREE_MAX = 12
+
 
 def check_degree(n: int, max_degree: int | None, default: int) -> None:
     """Raise if ``n`` exceeds ``max_degree`` (``default`` when None)."""

@@ -113,6 +113,19 @@ def test_product_terms_match_tables():
             assert solomon_multiply(kappa, nu).terms == counts
 
 
+def test_product_terms_pass_validation():
+    # the product's terms are built unchecked; each must survive a
+    # validating rebuild
+    for n in range(1, 6):
+        comps = all_compositions(n)
+        for kappa in comps:
+            for nu in comps:
+                for eta in solomon_multiply(kappa, nu).terms:
+                    rebuilt = Composition(eta.parts)
+                    assert rebuilt == eta
+                    assert rebuilt.n == eta.n == n
+
+
 def test_to_group_algebra_is_sum_of_reps():
     for n in range(1, 6):
         for kappa in all_compositions(n):

@@ -122,6 +122,18 @@ def test_verify_lemma_counts_bijection_failures(capsys, monkeypatch):
                    "overall: FAIL\n")
 
 
+def test_multiply_show_matrices_degree_bound(capsys):
+    rc, out, err = run_cli(capsys, "multiply", "13", "13", "13",
+                           "--show-matrices")
+    assert rc == 2
+    assert out == ""
+    assert "above bound 12" in err
+    rc, out, _ = run_cli(capsys, "multiply", "13", "13", "13",
+                         "--show-matrices", "--max-n", "13")
+    assert rc == 0
+    assert out == "[13] -> 13\nB(13)\n"
+
+
 def test_verify_all_skips_parabolic_above_five(capsys):
     rc, out, _ = run_cli(capsys, "verify", "6", "--all")
     assert rc == 0

@@ -209,6 +209,31 @@ def test_contingency_tables_pass_validation():
                     assert MarginMatrix(z.entries, nu, kappa) == z
 
 
+def test_contingency_tables_degree_bound():
+    with pytest.raises(ValueError, match="above bound 12"):
+        next(contingency_tables(Composition((13,)), Composition((13,))))
+    got = list(contingency_tables(Composition((13,)), Composition((13,)),
+                                  max_degree=13))
+    assert [z.entries for z in got] == [((13,),)]
+
+
+def test_unchecked_graphs_match_validated_rebuild():
+    # image_under and intersection build their graphs unchecked; each must
+    # equal a validating rebuild from its edges
+    for n in range(1, 6):
+        group = [Permutation(p) for p in
+                 itertools.permutations(range(1, n + 1))]
+        for j in all_generator_subsets(n):
+            g = graph_of_subset(j)
+            for x in group:
+                image = g.image_under(x)
+                assert image == SubsetGraph(n, image.edges)
+                for k in all_generator_subsets(n):
+                    both = intersect(image, graph_of_subset(k))
+                    assert both == SubsetGraph(n, both.edges)
+                    assert both.edges == image.edges & graph_of_subset(k).edges
+
+
 def test_contingency_tables_mismatched_sums():
     with pytest.raises(ValueError):
         list(contingency_tables(Composition((2, 1)), Composition((4,))))

@@ -142,6 +142,42 @@ def test_intersection_table_margins():
                                         z.col_margins) == z
 
 
+def reference_intersections(x, j, k):
+    """``x^{-1}(J_q) & K_m`` as sorted tuples, one row per K block, from
+    the inverse and the union-find blocks by set intersection."""
+    xi = x.inverse().images
+    j_blocks = ordered_presentation(graph_of_subset(j)).blocks
+    k_blocks = ordered_presentation(graph_of_subset(k)).blocks
+    pulled = [{xi[u - 1] for u in block} for block in j_blocks]
+    return [[tuple(sorted(pb & set(km))) for pb in pulled]
+            for km in k_blocks]
+
+
+def test_cell_index_matches_set_intersections():
+    # one index pass places every position in its cell; it must agree with
+    # the intersections taken as sets
+    for n in range(1, 6):
+        for j in all_generator_subsets(n):
+            for k in all_generator_subsets(n):
+                for x in enumerate_double_set(j, k):
+                    rows = reference_intersections(x, j, k)
+                    assert intersection_table(x, j, k).entries == tuple(
+                        tuple(len(c) for c in row) for row in rows)
+                    assert predicted_presentation(x, j, k).blocks == tuple(
+                        c for row in rows for c in row if c)
+
+
+def test_verify_pair_bound_reaches_the_enumerations():
+    # n=13 lies above the lemma bound and the enumeration bound; a raised
+    # bound lets the one-witness pair through both
+    full = GeneratorSubset(13, set(range(1, 13)))
+    with pytest.raises(ValueError, match="above bound 6"):
+        verify_subset_pair(full, full)
+    report = verify_subset_pair(full, full, max_degree=13)
+    assert report.passed
+    assert report.witnesses == 1
+
+
 def test_intersection_graph_presentations_pass_validation():
     # union-find builds its presentation unchecked; each must survive a
     # validating rebuild
