@@ -102,21 +102,30 @@ def _solomon(n: int, kappa_parts: tuple[int, ...],
     return DescentElement(n, terms, check=False)
 
 
-def solomon_multiply(kappa: Composition, nu: Composition) -> DescentElement:
-    """Basis product by the margin-matrix rule (no group enumeration)."""
+def solomon_multiply(kappa: Composition, nu: Composition,
+                     max_degree: int | None = None) -> DescentElement:
+    """Basis product by the margin-matrix rule (no group enumeration).
+
+    Degrees above ``max_degree`` (default ``BASIS_DEGREE_MAX``) raise.
+    """
     if kappa.n != nu.n:
         raise degree_mismatch(kappa.n, nu.n)
+    check_degree(kappa.n, max_degree, BASIS_DEGREE_MAX)
     return _solomon(kappa.n, kappa.parts, nu.parts)
 
 
-def element_multiply(a: DescentElement, b: DescentElement) -> DescentElement:
+def element_multiply(a: DescentElement, b: DescentElement,
+                     max_degree: int | None = None) -> DescentElement:
     """Bilinear extension of :func:`solomon_multiply`.
 
     As in :func:`backend.convolve`, sums are exact and only the result's
-    coefficients are range-checked, so term order cannot matter.
+    coefficients are range-checked, so term order cannot matter.  The
+    degree is checked against ``max_degree`` (default
+    ``BASIS_DEGREE_MAX``) once per call.
     """
     if a.n != b.n:
         raise degree_mismatch(a.n, b.n)
+    check_degree(a.n, max_degree, BASIS_DEGREE_MAX)
     terms: dict[Composition, int] = {}
     get = terms.get
     for kappa, ca in a.terms.items():
@@ -231,7 +240,7 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
         raise degree_mismatch(kappa.n, nu.n)
     n = kappa.n
     check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
-    table = _expand(solomon_multiply(kappa, nu))
+    table = _expand(solomon_multiply(kappa, nu, max_degree=max_degree))
     # through the module attribute, so a wrapper on it sees every check
     oracle = backend.convolve(n, _indicator_items(n, kappa.parts),
                               _indicator_items(n, nu.parts))
@@ -260,21 +269,24 @@ def left_rep_count(nu: Composition) -> int:
     return count
 
 
-def reading_multinomial_sum(kappa: Composition, nu: Composition) -> int:
+def reading_multinomial_sum(kappa: Composition, nu: Composition,
+                            max_degree: int | None = None) -> int:
     """Sum of ``n!/prod(eta_i!)`` over all margin matrices of the pair.
 
     Read off the product that :func:`solomon_multiply` returns, as
     ``sum of c_eta * |X_eta|``, so the identity checks the very product
-    callers get, and a cached product is not swept again.
+    callers get, and a cached product is not swept again.  ``max_degree``
+    is the product's degree bound.
     """
-    terms = solomon_multiply(kappa, nu).terms
+    terms = solomon_multiply(kappa, nu, max_degree=max_degree).terms
     return backend.sum_reading_multinomials(
         ((eta.parts, c) for eta, c in terms.items()), kappa.n)
 
 
-def counting_identity_holds(kappa: Composition, nu: Composition) -> bool:
+def counting_identity_holds(kappa: Composition, nu: Composition,
+                            max_degree: int | None = None) -> bool:
     """Reading-word multinomials must total ``|X_kappa| * |X_nu|``."""
-    return (reading_multinomial_sum(kappa, nu)
+    return (reading_multinomial_sum(kappa, nu, max_degree=max_degree)
             == left_rep_count(kappa) * left_rep_count(nu))
 
 
@@ -289,7 +301,7 @@ def structure_constants(
         raise ValueError("degree must be at least 1")
     check_degree(n, max_degree, BASIS_DEGREE_MAX)
     comps = all_compositions(n)
-    return [(kappa, nu, solomon_multiply(kappa, nu))
+    return [(kappa, nu, solomon_multiply(kappa, nu, max_degree=max_degree))
             for kappa in comps for nu in comps]
 
 

@@ -58,7 +58,7 @@ def cmd_multiply(args) -> int:
         raise ValueError(
             f"compositions must sum to n={args.n}: "
             f"got {kappa.to_text()} and {nu.to_text()}")
-    product = solomon_multiply(kappa, nu)
+    product = solomon_multiply(kappa, nu, max_degree=args.max_n)
 
     matrices = []
     if args.show_matrices:
@@ -295,11 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.command == "multiply" and args.max_n is not None
-            and not (args.oracle or args.show_matrices)):
-        # only the oracle check and the table listing have a degree bound
-        parser.error("unrecognized arguments: --max-n (multiply reads it "
-                     "only with --oracle or --show-matrices)")
     if args.n < 1:
         print("error: n must be at least 1", file=sys.stderr)
         return 2

@@ -479,6 +479,37 @@ def test_structure_constants_shape():
         assert prod == solomon_multiply(kappa, nu)
 
 
+def test_basis_products_degree_bound(monkeypatch):
+    k = Composition((13,))
+    b = basis_element(k)
+    for call in (lambda: solomon_multiply(k, k),
+                 lambda: element_multiply(b, b)):
+        with pytest.raises(ValueError, match="degree 13 above bound 12"):
+            call()
+    assert str(solomon_multiply(k, k, max_degree=13)) == "B(13)"
+    assert str(element_multiply(b, b, max_degree=13)) == "B(13)"
+    # the counting identity reads the same product, under the same bound
+    with pytest.raises(ValueError, match="degree 13 above bound 12"):
+        counting_identity_holds(k, k)
+    assert counting_identity_holds(k, k, max_degree=13)
+    # structure_constants passes its bound on to every product
+    monkeypatch.setattr(algebra, "all_compositions", lambda n: [k])
+    assert [str(p) for _, _, p in structure_constants(13, max_degree=13)] \
+        == ["B(13)"]
+
+
+def test_element_multiply_checks_degree_once(monkeypatch):
+    calls = []
+    real = algebra.check_degree
+    monkeypatch.setattr(algebra, "check_degree",
+                        lambda *args: calls.append(args) or real(*args))
+    comps = all_compositions(4)
+    a = DescentElement(4, {c: 1 for c in comps[:3]})
+    b = DescentElement(4, {c: 2 for c in comps[3:7]})
+    element_multiply(a, b)
+    assert calls == [(4, None, 12)]
+
+
 def test_structure_csv_frozen_degree_two():
     buf = io.StringIO()
     write_structure_csv(structure_constants(2), buf)

@@ -239,3 +239,52 @@ def test_reading_word_counts_sparse_at_degree_30():
                          timeout=60)
     assert out.returncode == 0, out.stderr
     assert ast.literal_eval(out.stdout) == [{(30,): 1}, {(29, 1): 1}]
+
+
+def run_capped(code):
+    """Run ``code`` in a child capped at 1 GiB of address space; return
+    the value its last line prints."""
+    code = ("import resource; cap = 1 << 30; "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); " + code)
+    src = os.path.dirname(os.path.dirname(backend.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout)
+
+
+def test_reading_word_counts_merges_each_row():
+    # a row of 15 over 30 unit columns has C(30, 15) fillings, and 30 unit
+    # rows have 30! tables; merged, each row is O(30**2) states, so both
+    # fit far inside the cap, and a cache of unmerged fillings would not
+    got = run_capped(
+        "from descents import backend; ones = (1,) * 30; "
+        "print([backend.reading_word_counts((15, 15), ones, 30), "
+        "backend.reading_word_counts(ones, ones, 30)])")
+    ones = (1,) * 30
+    assert got == [{ones: math.comb(30, 15)}, {ones: math.factorial(30)}]
+
+
+def test_row_cache_is_bounded():
+    info = backend._merged_row.cache_info()
+    # every key of a product table through n=8 fits
+    assert info.maxsize is not None and info.maxsize >= 1793
+    # a full n=7 sweep reaches (7 - 1) * 2**7 + 1 keys
+    backend._merged_row.cache_clear()
+    comps = list(compositions(7))
+    for kappa in comps:
+        for nu in comps:
+            backend.reading_word_counts(nu, kappa, 7)
+    assert backend._merged_row.cache_info().currsize == 769
+
+
+def test_product_degree_guard_override_at_degree_30():
+    # with the override, the one-table product at n=30 is one sweep state
+    got = run_capped(
+        "import time; from descents import Composition, solomon_multiply; "
+        "k = Composition((30,)); t = time.perf_counter(); "
+        "p = solomon_multiply(k, k, max_degree=30); "
+        "print([str(p), time.perf_counter() - t])")
+    assert got[0] == "B(30)"
+    assert got[1] < 0.1

@@ -134,6 +134,18 @@ def test_multiply_show_matrices_degree_bound(capsys):
     assert out == "[13] -> 13\nB(13)\n"
 
 
+def test_multiply_degree_bound(capsys):
+    rc, out, err = run_cli(capsys, "multiply", "13", "13", "13")
+    assert rc == 2
+    assert out == ""
+    assert "above bound 12" in err
+    rc, out, err = run_cli(capsys, "multiply", "13", "13", "13",
+                           "--max-n", "13")
+    assert rc == 0
+    assert out == "B(13)\n"
+    assert err == ""
+
+
 def test_verify_all_skips_parabolic_above_five(capsys):
     rc, out, _ = run_cli(capsys, "verify", "6", "--all")
     assert rc == 0
@@ -281,7 +293,6 @@ def test_graph_kappa_sum_mismatch(capsys):
     ["graph", "3", "--subset", "1", "--max-n", "2"],
     ["graph", "3", "--subset", "1", "--seed", "1"],
     ["multiply", "3", "2,1", "1,2", "--seed", "1"],
-    ["multiply", "3", "2,1", "1,2", "--max-n", "2"],
     ["table", "3", "--seed", "1"],
 ])
 def test_option_the_subcommand_ignores_is_usage_error(capsys, argv):
