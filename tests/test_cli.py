@@ -294,6 +294,7 @@ def test_graph_kappa_sum_mismatch(capsys):
     ["graph", "3", "--subset", "1", "--seed", "1"],
     ["multiply", "3", "2,1", "1,2", "--seed", "1"],
     ["table", "3", "--seed", "1"],
+    ["table", "3", "--subset", "1"],
 ])
 def test_option_the_subcommand_ignores_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
