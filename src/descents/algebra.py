@@ -55,7 +55,8 @@ class DescentElement(_IntegerCombination):
     key_type = Composition
 
     def sorted_terms(self) -> list[tuple[Composition, int]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].parts)
+        # keys are distinct, so only they are compared
+        return sorted(self.terms.items())
 
     def _multiply(self, other: "DescentElement") -> "DescentElement":
         # through the module global, so a wrapper installed on
@@ -94,9 +95,8 @@ def identity_element(n: int) -> DescentElement:
 # 4096 holds every basis product at n=7 (64 x 64 pairs), while a full n=8
 # sweep (16 384 pairs) stays bounded
 @lru_cache(maxsize=4096)
-def _solomon(n: int, kappa_parts: tuple[int, ...],
-             nu_parts: tuple[int, ...]) -> DescentElement:
-    counts = backend.reading_word_counts(nu_parts, kappa_parts, n)
+def _solomon(n: int, kappa: Composition, nu: Composition) -> DescentElement:
+    counts = backend.reading_word_counts(nu, kappa, n)
     # each word is the non-zero entries of a table: positive parts
     terms = {Composition(word, check=False): c for word, c in counts.items()}
     return DescentElement(n, terms, check=False)
@@ -108,10 +108,11 @@ def solomon_multiply(kappa: Composition, nu: Composition,
 
     Degrees above ``max_degree`` (default ``BASIS_DEGREE_MAX``) raise.
     """
-    if kappa.n != nu.n:
-        raise degree_mismatch(kappa.n, nu.n)
-    check_degree(kappa.n, max_degree, BASIS_DEGREE_MAX)
-    return _solomon(kappa.n, kappa.parts, nu.parts)
+    n = kappa.n
+    if n != nu.n:
+        raise degree_mismatch(n, nu.n)
+    check_degree(n, max_degree, BASIS_DEGREE_MAX)
+    return _solomon(n, kappa, nu)
 
 
 def element_multiply(a: DescentElement, b: DescentElement,
@@ -123,19 +124,20 @@ def element_multiply(a: DescentElement, b: DescentElement,
     degree is checked against ``max_degree`` (default
     ``BASIS_DEGREE_MAX``) once per call.
     """
-    if a.n != b.n:
-        raise degree_mismatch(a.n, b.n)
-    check_degree(a.n, max_degree, BASIS_DEGREE_MAX)
+    n = a.n
+    if n != b.n:
+        raise degree_mismatch(n, b.n)
+    check_degree(n, max_degree, BASIS_DEGREE_MAX)
     terms: dict[Composition, int] = {}
     get = terms.get
     for kappa, ca in a.terms.items():
         for nu, cb in b.terms.items():
             scale = ca * cb
-            for eta, c in _solomon(a.n, kappa.parts, nu.parts).terms.items():
+            for eta, c in _solomon(n, kappa, nu).terms.items():
                 terms[eta] = get(eta, 0) + scale * c
     for c in terms.values():
         check_coefficient(c)
-    return DescentElement(a.n, terms, check=False)
+    return DescentElement(n, terms, check=False)
 
 
 # One entry per degree: S_n's image tuples, listed once by descent set
@@ -194,10 +196,9 @@ def to_group_algebra(a: DescentElement,
 # 256 holds the indicators of all 127 compositions through n=7; the
 # caller has checked the degree bound, so one entry serves every bound
 @lru_cache(maxsize=256)
-def _basis_indicator(n: int, parts: tuple[int, ...]) -> GroupAlgebraElement:
-    return to_group_algebra(
-        DescentElement(n, {Composition(parts): 1}, check=False),
-        max_degree=n)
+def _basis_indicator(n: int, kappa: Composition) -> GroupAlgebraElement:
+    return to_group_algebra(DescentElement(n, {kappa: 1}, check=False),
+                            max_degree=n)
 
 
 def oracle_multiply(kappa: Composition, nu: Composition,
@@ -207,17 +208,17 @@ def oracle_multiply(kappa: Composition, nu: Composition,
     Shares no logic with :func:`solomon_multiply`; the two must agree
     after :func:`to_group_algebra`.
     """
-    if kappa.n != nu.n:
-        raise degree_mismatch(kappa.n, nu.n)
-    check_degree(kappa.n, max_degree, ORACLE_DEGREE_DEFAULT)
-    a = _basis_indicator(kappa.n, kappa.parts)
-    b = _basis_indicator(nu.n, nu.parts)
-    return algebra_multiply(a, b)
+    n = kappa.n
+    if n != nu.n:
+        raise degree_mismatch(n, nu.n)
+    check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
+    return algebra_multiply(_basis_indicator(n, kappa),
+                            _basis_indicator(n, nu))
 
 
-def _indicator_items(n: int, parts: tuple[int, ...]
+def _indicator_items(n: int, kappa: Composition
                      ) -> list[tuple[tuple[int, ...], int]]:
-    return [(p.images, c) for p, c in _basis_indicator(n, parts).terms.items()]
+    return [(p.images, c) for p, c in _basis_indicator(n, kappa).terms.items()]
 
 
 def oracle_mismatch(kappa: Composition, nu: Composition,
@@ -236,14 +237,14 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
     :func:`backend.convolve` of the two cached indicators is the other,
     and a ``Permutation`` is built only to name a difference.
     """
-    if kappa.n != nu.n:
-        raise degree_mismatch(kappa.n, nu.n)
     n = kappa.n
+    if n != nu.n:
+        raise degree_mismatch(n, nu.n)
     check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
     table = _expand(solomon_multiply(kappa, nu, max_degree=max_degree))
     # through the module attribute, so a wrapper on it sees every check
-    oracle = backend.convolve(n, _indicator_items(n, kappa.parts),
-                              _indicator_items(n, nu.parts))
+    oracle = backend.convolve(n, _indicator_items(n, kappa),
+                              _indicator_items(n, nu))
     if table == oracle:
         return None
     images = min(z for z in table.keys() | oracle.keys()
@@ -264,7 +265,7 @@ def oracle_agrees(kappa: Composition, nu: Composition,
 def left_rep_count(nu: Composition) -> int:
     """``n! / prod(nu_i!)``, the size of ``X_nu``."""
     count = math.factorial(nu.n)
-    for p in nu.parts:
+    for p in nu:
         count //= math.factorial(p)
     return count
 
@@ -278,9 +279,8 @@ def reading_multinomial_sum(kappa: Composition, nu: Composition,
     callers get, and a cached product is not swept again.  ``max_degree``
     is the product's degree bound.
     """
-    terms = solomon_multiply(kappa, nu, max_degree=max_degree).terms
-    return backend.sum_reading_multinomials(
-        ((eta.parts, c) for eta, c in terms.items()), kappa.n)
+    product = solomon_multiply(kappa, nu, max_degree=max_degree)
+    return backend.sum_reading_multinomials(product.terms.items(), product.n)
 
 
 def counting_identity_holds(kappa: Composition, nu: Composition,

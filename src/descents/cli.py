@@ -35,7 +35,7 @@ from .cosets import (
     PARABOLIC_DEGREE_DEFAULT,
     verify_subset_pair,
 )
-from .perms import ORACLE_DEGREE_DEFAULT
+from .perms import BASIS_DEGREE_MAX, ORACLE_DEGREE_DEFAULT, check_degree
 
 #: Exhaustive oracle sweeps stop here; larger degrees are sampled.
 ORACLE_EXHAUSTIVE_MAX = 6
@@ -58,6 +58,7 @@ def cmd_multiply(args) -> int:
         raise ValueError(
             f"compositions must sum to n={args.n}: "
             f"got {kappa.to_text()} and {nu.to_text()}")
+    check_degree(args.n, args.max_n, BASIS_DEGREE_MAX, option="--max-n")
     product = solomon_multiply(kappa, nu, max_degree=args.max_n)
 
     matrices = []
@@ -71,6 +72,7 @@ def cmd_multiply(args) -> int:
             limit = args.max_n
             if args.n > ORACLE_DEGREE_DEFAULT:
                 _warn_bound("oracle", args.n, ORACLE_DEGREE_DEFAULT)
+        check_degree(args.n, limit, ORACLE_DEGREE_DEFAULT, option="--max-n")
         oracle_ok = oracle_agrees(kappa, nu, max_degree=limit)
 
     if args.format == "structured":
@@ -196,6 +198,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    check_degree(args.n, args.max_n, BASIS_DEGREE_MAX, option="--max-n")
     rows = structure_constants(args.n, max_degree=args.max_n)
     if args.format == "csv":
         write_structure_csv(rows, sys.stdout)

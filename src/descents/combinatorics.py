@@ -4,7 +4,8 @@ A subset J of the adjacent transpositions ``{s_1 .. s_{n-1}}`` is recorded by
 generator index, and drawn as a graph on vertices ``1..n`` with an edge
 ``{i, i+1}`` for each ``i`` in J.  Listing the connected components by least
 element (the *ordered presentation*) and taking their sizes turns J into a
-composition of n; the correspondence is bijective.
+composition of n; the correspondence is bijective.  A composition is a
+``tuple`` of its parts, equal to the plain parts tuple and hashed like it.
 
 >>> j = GeneratorSubset(9, [2, 3, 7])
 >>> subset_to_composition(j).to_text()
@@ -27,29 +28,37 @@ from .perms import (
 )
 
 
-class Composition:
-    """A sequence of positive integers; ``n`` is their sum.
+class Composition(tuple):
+    """A tuple of positive integers; ``n`` is their sum.  It equals its
+    plain parts tuple and hashes like it, so dict keys compare in C.
 
     ``check=False`` is for callers whose parts are positive integers by
     construction; it skips the validation.
+
+    >>> Composition((1, 2)) == (1, 2), Composition((1, 2)).n
+    (True, 3)
     """
 
-    __slots__ = ("parts", "n")
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int], check: bool = True):
-        parts = tuple(parts)
+    def __new__(cls, parts: Iterable[int], check: bool = True):
+        self = tuple.__new__(cls, parts)
         if check:
-            if not parts:
+            if not self:
                 raise ValueError("a composition needs at least one part")
-            for p in parts:
+            for p in self:
                 if not isinstance(p, int) or p < 1:
                     raise ValueError(
-                        f"parts must be positive integers: {parts!r}")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "n", sum(parts))
+                        f"parts must be positive integers: {tuple(self)!r}")
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
+    @property
+    def parts(self) -> "Composition":
+        return self
+
+    @property
+    def n(self) -> int:
+        return sum(self)
 
     @classmethod
     def from_text(cls, text: str) -> "Composition":
@@ -61,19 +70,7 @@ class Composition:
         return cls(parts)
 
     def to_text(self) -> str:
-        return ",".join(str(p) for p in self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Composition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+        return ",".join(map(str, self))
 
     def __repr__(self) -> str:
         return f"Composition({self.to_text()!r})"
@@ -274,7 +271,7 @@ class MarginMatrix:
                  check: bool = True):
         if check:
             entries = tuple(tuple(row) for row in entries)
-            s, r = len(row_margins.parts), len(col_margins.parts)
+            s, r = len(row_margins), len(col_margins)
             if len(entries) != s or any(len(row) != r for row in entries):
                 raise ValueError("matrix shape does not match margins")
             for row in entries:
@@ -282,9 +279,9 @@ class MarginMatrix:
                     if not isinstance(v, int) or v < 0:
                         raise ValueError(
                             "entries must be non-negative integers")
-            if tuple(sum(row) for row in entries) != row_margins.parts:
+            if tuple(sum(row) for row in entries) != row_margins:
                 raise ValueError("row sums do not match row margins")
-            if tuple(sum(col) for col in zip(*entries)) != col_margins.parts:
+            if tuple(sum(col) for col in zip(*entries)) != col_margins:
                 raise ValueError("column sums do not match column margins")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "row_margins", row_margins)
@@ -344,9 +341,9 @@ def composition_to_subset(kappa: Composition) -> GeneratorSubset:
 
     These are all indices except the proper partial sums of ``kappa``.
     """
-    sums = set(itertools.accumulate(kappa.parts[:-1]))
-    return GeneratorSubset(kappa.n,
-                           (i for i in range(1, kappa.n) if i not in sums))
+    n = kappa.n
+    sums = set(itertools.accumulate(kappa[:-1]))
+    return GeneratorSubset(n, (i for i in range(1, n) if i not in sums))
 
 
 def all_generator_subsets(n: int) -> list[GeneratorSubset]:
@@ -434,11 +431,11 @@ def contingency_tables(row_margins: Composition, col_margins: Composition,
     the bound.  The tables are built unchecked: the walk meets the margins
     by construction, and the tests pin it against brute-force
     enumeration."""
-    if row_margins.n != col_margins.n:
-        raise degree_mismatch(row_margins.n, col_margins.n)
-    check_degree(row_margins.n, max_degree, BASIS_DEGREE_MAX)
-    for entries in backend.enumerate_tables(row_margins.parts,
-                                            col_margins.parts):
+    n = row_margins.n
+    if n != col_margins.n:
+        raise degree_mismatch(n, col_margins.n)
+    check_degree(n, max_degree, BASIS_DEGREE_MAX)
+    for entries in backend.enumerate_tables(row_margins, col_margins):
         yield MarginMatrix(entries, row_margins, col_margins, check=False)
 
 

@@ -59,7 +59,7 @@ def is_left_rep(x: Permutation, k: GeneratorSubset) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _rep_images(n: int, parts: tuple[int, ...]
+def _rep_images(n: int, parts: Composition
                 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     # Choose which values land in each consecutive block of positions; a
     # block reads its values in increasing order, and the last block takes
@@ -120,7 +120,7 @@ def enumerate_left_reps(k: GeneratorSubset,
     factorials of the component sizes.
     """
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
-    for images, _ in _rep_images(k.n, subset_to_composition(k).parts):
+    for images, _ in _rep_images(k.n, subset_to_composition(k)):
         yield Permutation(images, check=False)
 
 
@@ -134,7 +134,7 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
         raise degree_mismatch(j.n, k.n)
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
     j_mask = sum(1 << (h - 1) for h in j.members)
-    for images, mask in _rep_images(k.n, subset_to_composition(k).parts):
+    for images, mask in _rep_images(k.n, subset_to_composition(k)):
         if not mask & j_mask:
             yield Permutation(images, check=False)
 

@@ -36,12 +36,13 @@ ORACLE_DEGREE_DEFAULT = 7
 BASIS_DEGREE_MAX = 12
 
 
-def check_degree(n: int, max_degree: int | None, default: int) -> None:
+def check_degree(n: int, max_degree: int | None, default: int,
+                 option: str = "max_degree") -> None:
     """Raise if ``n`` exceeds ``max_degree`` (``default`` when None)."""
     limit = default if max_degree is None else max_degree
     if n > limit:
         raise ValueError(
-            f"degree {n} above bound {limit}; pass max_degree to override")
+            f"degree {n} above bound {limit}; pass {option} to override")
 
 
 def degree_mismatch(*degrees: int) -> ValueError:

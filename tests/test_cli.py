@@ -146,6 +146,17 @@ def test_multiply_degree_bound(capsys):
     assert err == ""
 
 
+def test_multiply_degree_error_names_cli_option(capsys):
+    # the library's error names its keyword, max_degree; the CLI's
+    # names --max-n, for the product and for --oracle
+    for argv in (("13", "13", "13"), ("8", "8", "8", "--oracle")):
+        rc, out, err = run_cli(capsys, "multiply", *argv)
+        assert rc == 2
+        assert out == ""
+        assert "pass --max-n to override" in err
+        assert "max_degree" not in err
+
+
 def test_verify_all_skips_parabolic_above_five(capsys):
     rc, out, _ = run_cli(capsys, "verify", "6", "--all")
     assert rc == 0
@@ -242,6 +253,14 @@ def test_table_bound(capsys):
     rc, _, err = run_cli(capsys, "table", "13")
     assert rc == 2
     assert "above bound" in err
+
+
+def test_table_degree_error_names_cli_option(capsys):
+    rc, out, err = run_cli(capsys, "table", "13")
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: degree 13 above bound 12; "
+                   "pass --max-n to override\n")
 
 
 def test_graph_by_subset(capsys):

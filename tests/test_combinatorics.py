@@ -1,10 +1,13 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 
 from descents import (
     Composition,
+    DescentElement,
     GeneratorSubset,
     MarginMatrix,
     OrderedPresentation,
@@ -34,6 +37,34 @@ def test_composition_validation():
     assert Composition((3,)).n == 3
     assert Composition.from_text("1,3,2").parts == (1, 3, 2)
     assert Composition((1, 3, 2)).to_text() == "1,3,2"
+
+
+def test_composition_is_its_parts_tuple():
+    c = Composition((1, 3, 2))
+    # equal to its plain parts tuple and hashed like it, so a dict keyed by
+    # compositions finds a composition by its parts
+    assert c == c.parts == (1, 3, 2)
+    assert hash(c) == hash(tuple(c))
+    assert {c: 1}[(1, 3, 2)] == 1
+    assert (c.n, len(c), list(c)) == (6, 3, [1, 3, 2])
+    for clone in (pickle.loads(pickle.dumps(c)), copy.copy(c),
+                  copy.deepcopy(c)):
+        assert type(clone) is Composition and clone == c
+    for name in ("n", "parts", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+    with pytest.raises(ValueError,
+                       match="^a composition needs at least one part$"):
+        Composition(())
+    with pytest.raises(ValueError, match=r"^parts must be positive "
+                                         r"integers: \(0, 1\)$"):
+        Composition((0, 1))
+    with pytest.raises(ValueError, match=r"^parts must be positive "
+                                         r"integers: \(1\.0,\)$"):
+        Composition((1.0,))
+    # a checked element still takes only compositions as keys
+    with pytest.raises(ValueError, match="keyed by Composition"):
+        DescentElement(3, {(1, 2): 1})
 
 
 def test_subset_from_text():

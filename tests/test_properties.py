@@ -1,5 +1,6 @@
-"""Property tests: the reading-word sweep against the table walk, and the
-algebra laws on random elements.
+"""Property tests: the reading-word sweep against the table walk, element
+products against their basis products, and the algebra laws on random
+elements.
 
 The examples come from a fixed seed (``derandomize=True``), so every run
 checks the same cases.
@@ -10,7 +11,13 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descents import Composition, DescentElement, backend
+from descents import (
+    Composition,
+    DescentElement,
+    backend,
+    element_multiply,
+    solomon_multiply,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -38,14 +45,14 @@ def composition_pairs(draw, max_n):
 
 
 @st.composite
-def element_triples(draw, max_n):
-    """Three elements of one degree, each up to four basis terms."""
+def elements(draw, max_n, count):
+    """``count`` elements of one degree, each up to four basis terms."""
     n = draw(st.integers(1, max_n))
     comps = st.builds(lambda cuts: Composition(parts(cuts)), cut_lists(n))
     coefficients = st.sampled_from((-3, -2, -1, 1, 2, 3))
     return [DescentElement(n, draw(st.dictionaries(comps, coefficients,
                                                    max_size=4)))
-            for _ in range(3)]
+            for _ in range(count)]
 
 
 @PROPERTY
@@ -58,7 +65,23 @@ def test_reading_word_counts_tally_the_tables(pair):
 
 
 @PROPERTY
-@given(element_triples(6))
+@given(elements(6, 2))
+def test_element_product_sums_basis_products(pair):
+    a, b = pair
+    expected = {}
+    for kappa, ca in a.terms.items():
+        for nu, cb in b.terms.items():
+            for eta, c in solomon_multiply(kappa, nu).terms.items():
+                expected[eta] = expected.get(eta, 0) + ca * cb * c
+    product = element_multiply(a, b)
+    assert product.terms == {eta: c for eta, c in expected.items() if c}
+    # a composition equals its parts tuple, so the comparison above would
+    # not notice a bare tuple key
+    assert all(type(eta) is Composition for eta in product.terms)
+
+
+@PROPERTY
+@given(elements(6, 3))
 def test_element_products_associate_and_distribute(triple):
     a, b, c = triple
     assert (a * b) * c == a * (b * c)
