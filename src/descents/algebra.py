@@ -9,13 +9,13 @@ its reading word, so
 
 The group-algebra oracle recomputes the same product by brute force from
 the defining sums and must agree exactly.  :func:`oracle_agrees` compares
-the two as plain ``{images: coefficient}`` dicts: the table product spread
-over S_n's descent classes, listed once per degree, against the raw
-:func:`backend.convolve` of the two cached indicators.  Elements of both
-algebras share one base, ``perms._IntegerCombination``, for their
-coefficient arithmetic; :func:`to_group_algebra` and
-:func:`oracle_multiply` build them, as the reference the lean comparison
-must match.
+the two as plain ``{permutation: coefficient}`` dicts: the table product
+spread over S_n's descent classes, listed once per degree, against the raw
+:func:`backend.convolve` of the two cached indicators, whose image tuples
+equal the permutations they name.  Elements of both algebras share one
+base, ``perms._IntegerCombination``, for their coefficient arithmetic;
+:func:`to_group_algebra` and :func:`oracle_multiply` build them, as the
+reference the lean comparison must match.
 
 >>> kappa, nu = Composition((2, 1)), Composition((1, 2))
 >>> str(solomon_multiply(kappa, nu))
@@ -140,30 +140,30 @@ def element_multiply(a: DescentElement, b: DescentElement,
     return DescentElement(n, terms, check=False)
 
 
-# One entry per degree: S_n's image tuples, listed once by descent set
+# One entry per degree: S_n's permutations, listed once by descent set
 # (index d has bit h-1 set for each descent h), in lexicographic order
-# within each class.  An entry lists 720 tuples in 32 classes at n=6
-# (0.07 MiB by tracemalloc), 5 040 in 64 at n=7 (0.5 MiB) and 40 320 in
-# 128 at n=8 (4.3 MiB); four entries cover the degrees a sweep moves
-# between, and even n=5..8 together stay under 5 MiB.
+# within each class.  An entry lists 720 permutations in 32 classes at n=6
+# (0.07 MiB by tracemalloc), 5 040 in 64 at n=7 (0.54 MiB) and 40 320 in
+# 128 at n=8 (4.6 MiB); four entries cover the degrees a sweep moves
+# between, and even n=5..8 together stay under 5.5 MiB.
 @lru_cache(maxsize=4)
-def _descent_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    classes: list[list[tuple[int, ...]]] = [[] for _ in range(1 << (n - 1))]
+def _descent_classes(n: int) -> tuple[tuple[Permutation, ...], ...]:
+    classes: list[list[Permutation]] = [[] for _ in range(1 << (n - 1))]
     for images in itertools.permutations(range(1, n + 1)):
         d = 0
         for h in range(n - 1):
             if images[h] > images[h + 1]:
                 d |= 1 << h
-        classes[d].append(images)
+        classes[d].append(Permutation(images, check=False))
     return tuple(map(tuple, classes))
 
 
-def _expand(a: DescentElement) -> dict[tuple[int, ...], int]:
-    """``{images: coefficient}`` of ``a`` in the group algebra.
+def _expand(a: DescentElement) -> dict[Permutation, int]:
+    """``{permutation: coefficient}`` of ``a`` in the group algebra.
 
     The coefficient a permutation receives depends only on its descent
     set: one range-checked weight per descent class, spread over the
-    class's cached image tuples.  The caller has checked the degree.
+    class's cached permutations.  The caller has checked the degree.
     """
     masks = []
     for comp, coeff in a.terms.items():
@@ -173,13 +173,13 @@ def _expand(a: DescentElement) -> dict[tuple[int, ...], int]:
             m |= 1 << (i - 1)
         masks.append((m, coeff))
     terms: dict[tuple[int, ...], int] = {}
-    for d, images in enumerate(_descent_classes(a.n)):
+    for d, members in enumerate(_descent_classes(a.n)):
         w = 0
         for m, coeff in masks:
             if m & d == 0:  # no required ascent is a descent
                 w += coeff
         if check_coefficient(w):
-            terms.update(dict.fromkeys(images, w))
+            terms.update(dict.fromkeys(members, w))
     return terms
 
 
@@ -188,9 +188,7 @@ def to_group_algebra(a: DescentElement,
     """Expand into the group algebra: each ``B(eta)`` becomes the sum of
     its coset representatives."""
     check_degree(a.n, max_degree, ORACLE_DEGREE_DEFAULT)
-    terms = {Permutation(images, check=False): c
-             for images, c in _expand(a).items()}
-    return GroupAlgebraElement(a.n, terms, check=False)
+    return GroupAlgebraElement(a.n, _expand(a), check=False)
 
 
 # 256 holds the indicators of all 127 compositions through n=7; the
@@ -216,11 +214,6 @@ def oracle_multiply(kappa: Composition, nu: Composition,
                             _basis_indicator(n, nu))
 
 
-def _indicator_items(n: int, kappa: Composition
-                     ) -> list[tuple[tuple[int, ...], int]]:
-    return [(p.images, c) for p, c in _basis_indicator(n, kappa).terms.items()]
-
-
 def oracle_mismatch(kappa: Composition, nu: Composition,
                     max_degree: int | None = None
                     ) -> tuple[Permutation, int, int] | None:
@@ -233,9 +226,9 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
     The verdict is what comparing ``to_group_algebra(solomon_multiply(kappa,
     nu))`` with ``oracle_multiply(kappa, nu)`` gives, reached without
     building either element: the table product is expanded to one
-    ``{images: coefficient}`` dict by descent class, the raw
-    :func:`backend.convolve` of the two cached indicators is the other,
-    and a ``Permutation`` is built only to name a difference.
+    ``{permutation: coefficient}`` dict by descent class, and the raw
+    :func:`backend.convolve` of the two cached indicators, keyed by the
+    equal image tuples, is the other.
     """
     n = kappa.n
     if n != nu.n:
@@ -243,8 +236,8 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
     check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
     table = _expand(solomon_multiply(kappa, nu, max_degree=max_degree))
     # through the module attribute, so a wrapper on it sees every check
-    oracle = backend.convolve(n, _indicator_items(n, kappa),
-                              _indicator_items(n, nu))
+    oracle = backend.convolve(n, _basis_indicator(n, kappa).terms.items(),
+                              _basis_indicator(n, nu).terms.items())
     if table == oracle:
         return None
     images = min(z for z in table.keys() | oracle.keys()

@@ -87,7 +87,7 @@ def cmd_multiply(args) -> int:
         }
         if args.show_matrices:
             record["matrices"] = [
-                {"entries": [list(row) for row in m.entries],
+                {"entries": [list(row) for row in m],
                  "reading_word": m.reading_word().to_text()}
                 for m in matrices]
         if oracle_ok is not None:

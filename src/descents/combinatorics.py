@@ -4,8 +4,9 @@ A subset J of the adjacent transpositions ``{s_1 .. s_{n-1}}`` is recorded by
 generator index, and drawn as a graph on vertices ``1..n`` with an edge
 ``{i, i+1}`` for each ``i`` in J.  Listing the connected components by least
 element (the *ordered presentation*) and taking their sizes turns J into a
-composition of n; the correspondence is bijective.  A composition is a
-``tuple`` of its parts, equal to the plain parts tuple and hashed like it.
+composition of n; the correspondence is bijective.  A composition, an
+ordered presentation and a margin matrix are each the ``tuple`` of their
+parts, blocks or rows, equal to that plain tuple and hashed like it.
 
 >>> j = GeneratorSubset(9, [2, 3, 7])
 >>> subset_to_composition(j).to_text()
@@ -95,6 +96,9 @@ class GeneratorSubset:
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorSubset is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.n, self.members)
+
     @classmethod
     def from_text(cls, n: int, text: str) -> "GeneratorSubset":
         """Parse ``"2,3,7"``; the empty string is the empty subset."""
@@ -158,6 +162,9 @@ class SubsetGraph:
     def __setattr__(self, name, value):
         raise AttributeError("SubsetGraph is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.n, self.edges, False)
+
     def image_under(self, x: Permutation) -> "SubsetGraph":
         """Relabel every vertex v as x(v).
 
@@ -165,9 +172,8 @@ class SubsetGraph:
         so the image is built unchecked once each pair is ordered."""
         if x.n != self.n:
             raise degree_mismatch(x.n, self.n)
-        img = x.images
         edges = frozenset((a, b) if a < b else (b, a)
-                          for a, b in ((img[u - 1], img[v - 1])
+                          for a, b in ((x[u - 1], x[v - 1])
                                        for u, v in self.edges))
         return SubsetGraph(self.n, edges, check=False)
 
@@ -191,8 +197,10 @@ class SubsetGraph:
         return f"SubsetGraph({self.n}, {body or 'no edges'})"
 
 
-class OrderedPresentation:
-    """Connected components listed by least element.
+class OrderedPresentation(tuple):
+    """Connected components listed by least element: a tuple of blocks,
+    each a sorted tuple of vertices.  It equals its plain blocks tuple and
+    hashes like it.
 
     The constructor validates rather than normalises the order: blocks must
     partition ``1..n`` and already be sorted by their minima, so a claimed
@@ -201,62 +209,51 @@ class OrderedPresentation:
     construction; it skips the validation and the sorting.
     """
 
-    __slots__ = ("blocks", "n")
+    __slots__ = ()
 
-    def __init__(self, blocks: Iterable[Iterable[int]], check: bool = True):
-        if check:
-            blocks = tuple(tuple(sorted(b)) for b in blocks)
-            if not blocks:
-                raise ValueError("presentation needs at least one block")
-            seen: set[int] = set()
-            for b in blocks:
-                if not b:
-                    raise ValueError("blocks must be non-empty")
-                if seen & set(b):
-                    raise ValueError("blocks must be disjoint")
-                seen |= set(b)
-            n = len(seen)
-            if seen != set(range(1, n + 1)):
-                raise ValueError(f"blocks must partition 1..{n}")
-            mins = [b[0] for b in blocks]
-            if mins != sorted(mins):
-                raise ValueError("blocks must be listed by least element")
-        else:
-            blocks = tuple(map(tuple, blocks))
-            n = sum(map(len, blocks))
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "n", n)
+    def __new__(cls, blocks: Iterable[Iterable[int]], check: bool = True):
+        if not check:
+            return tuple.__new__(cls, map(tuple, blocks))
+        self = tuple.__new__(cls, (tuple(sorted(b)) for b in blocks))
+        if not self:
+            raise ValueError("presentation needs at least one block")
+        seen: set[int] = set()
+        for b in self:
+            if not b:
+                raise ValueError("blocks must be non-empty")
+            if not seen.isdisjoint(b):
+                raise ValueError("blocks must be disjoint")
+            seen.update(b)
+        n = len(seen)
+        if seen != set(range(1, n + 1)):
+            raise ValueError(f"blocks must partition 1..{n}")
+        mins = [b[0] for b in self]
+        if mins != sorted(mins):
+            raise ValueError("blocks must be listed by least element")
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderedPresentation is immutable")
+    @property
+    def blocks(self) -> "OrderedPresentation":
+        return self
+
+    @property
+    def n(self) -> int:
+        return sum(map(len, self))
 
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+        return tuple(map(len, self))
 
     def to_text(self) -> str:
-        inner = ",".join("{" + ",".join(str(v) for v in b) + "}"
-                         for b in self.blocks)
+        inner = ",".join("{" + ",".join(map(str, b)) + "}" for b in self)
         return f"({inner})"
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, OrderedPresentation)
-                and self.blocks == other.blocks)
-
-    def __hash__(self) -> int:
-        return hash(self.blocks)
 
     def __repr__(self) -> str:
         return f"OrderedPresentation({self.to_text()})"
 
 
-class MarginMatrix:
-    """A non-negative integer matrix together with its margins.
+class MarginMatrix(tuple):
+    """A non-negative integer matrix: a tuple of row tuples, equal to its
+    plain rows tuple and hashed like it.
 
     Rows sum to ``row_margins`` and columns to ``col_margins``; the
     constructor checks both unless ``check=False``, which is for callers
@@ -264,38 +261,47 @@ class MarginMatrix:
     construction, kept as they are given.
     """
 
-    __slots__ = ("entries", "row_margins", "col_margins")
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[Iterable[int]],
-                 row_margins: Composition, col_margins: Composition,
-                 check: bool = True):
-        if check:
-            entries = tuple(tuple(row) for row in entries)
-            s, r = len(row_margins), len(col_margins)
-            if len(entries) != s or any(len(row) != r for row in entries):
-                raise ValueError("matrix shape does not match margins")
-            for row in entries:
-                for v in row:
-                    if not isinstance(v, int) or v < 0:
-                        raise ValueError(
-                            "entries must be non-negative integers")
-            if tuple(sum(row) for row in entries) != row_margins:
-                raise ValueError("row sums do not match row margins")
-            if tuple(sum(col) for col in zip(*entries)) != col_margins:
-                raise ValueError("column sums do not match column margins")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "row_margins", row_margins)
-        object.__setattr__(self, "col_margins", col_margins)
+    def __new__(cls, entries: Iterable[Iterable[int]],
+                row_margins: Composition, col_margins: Composition,
+                check: bool = True):
+        if not check:
+            return tuple.__new__(cls, entries)
+        self = tuple.__new__(cls, map(tuple, entries))
+        s, r = len(row_margins), len(col_margins)
+        if len(self) != s or any(len(row) != r for row in self):
+            raise ValueError("matrix shape does not match margins")
+        for row in self:
+            for v in row:
+                if not isinstance(v, int) or v < 0:
+                    raise ValueError("entries must be non-negative integers")
+        if tuple(map(sum, self)) != row_margins:
+            raise ValueError("row sums do not match row margins")
+        if tuple(map(sum, zip(*self))) != col_margins:
+            raise ValueError("column sums do not match column margins")
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MarginMatrix is immutable")
+    def __getnewargs__(self):
+        return tuple(self), self.row_margins, self.col_margins
+
+    @property
+    def entries(self) -> "MarginMatrix":
+        return self
+
+    @property
+    def row_margins(self) -> Composition:
+        return Composition(map(sum, self))
+
+    @property
+    def col_margins(self) -> Composition:
+        return Composition(map(sum, zip(*self)))
 
     @classmethod
     def from_entries(cls, entries: Iterable[Iterable[int]]) -> "MarginMatrix":
-        entries = tuple(tuple(row) for row in entries)
-        rows = Composition(tuple(sum(row) for row in entries))
-        cols = Composition(tuple(sum(col) for col in zip(*entries)))
-        return cls(entries, rows, cols)
+        entries = tuple(map(tuple, entries))
+        return cls(entries, Composition(map(sum, entries)),
+                   Composition(map(sum, zip(*entries))))
 
     def reading_word(self) -> Composition:
         """Non-zero entries scanned row by row.
@@ -303,20 +309,13 @@ class MarginMatrix:
         >>> MarginMatrix.from_entries([[0, 1], [2, 0]]).reading_word()
         Composition('1,2')
         """
-        return Composition(v for row in self.entries for v in row if v)
+        return Composition(v for row in self for v in row if v)
 
     def to_text(self) -> str:
-        return "[" + "; ".join(" ".join(str(v) for v in row)
-                               for row in self.entries) + "]"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MarginMatrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+        return "[" + "; ".join(" ".join(map(str, row)) for row in self) + "]"
 
     def __repr__(self) -> str:
-        return f"MarginMatrix({[list(r) for r in self.entries]!r})"
+        return f"MarginMatrix({[list(r) for r in self]!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -54,13 +54,12 @@ def is_left_rep(x: Permutation, k: GeneratorSubset) -> bool:
     """
     if x.n != k.n:
         raise degree_mismatch(x.n, k.n)
-    images = x.images
-    return all(images[h - 1] < images[h] for h in k.members)
+    return all(x[h - 1] < x[h] for h in k.members)
 
 
 @lru_cache(maxsize=256)
 def _rep_images(n: int, parts: Composition
-                ) -> tuple[tuple[tuple[int, ...], int], ...]:
+                ) -> tuple[tuple[Permutation, int], ...]:
     # Choose which values land in each consecutive block of positions; a
     # block reads its values in increasing order, and the last block takes
     # the values left.  Lexicographic output.
@@ -69,7 +68,7 @@ def _rep_images(n: int, parts: Composition
     # lands in an earlier block than h.  A block adds the bits of its
     # values v whose v-1 is left for later blocks.  256 entries hold every
     # composition through n=7.
-    out: list[tuple[tuple[int, ...], int]] = []
+    out: list[tuple[Permutation, int]] = []
     images = [0] * n
     last = len(parts) - 1
 
@@ -77,7 +76,7 @@ def _rep_images(n: int, parts: Composition
               mask: int) -> None:
         if block == last:
             images[start:] = pool
-            out.append((tuple(images), mask))
+            out.append((Permutation(images, check=False), mask))
             return
         size = parts[block]
         pool_bits = sum(1 << v for v in pool)
@@ -103,7 +102,7 @@ def _subset_data(j: GeneratorSubset) -> tuple[tuple[tuple[int, ...], ...],
     1024 entries hold the 2^(n-1) subsets of any one degree through
     n=11.  ``ordered_presentation`` is read from this module, so a wrapper
     placed there sees each miss."""
-    blocks = ordered_presentation(graph_of_subset(j)).blocks
+    blocks = ordered_presentation(graph_of_subset(j))
     where = [-1] * (j.n + 1)
     for q, block in enumerate(blocks):
         for v in block:
@@ -120,8 +119,8 @@ def enumerate_left_reps(k: GeneratorSubset,
     factorials of the component sizes.
     """
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
-    for images, _ in _rep_images(k.n, subset_to_composition(k)):
-        yield Permutation(images, check=False)
+    for x, _ in _rep_images(k.n, subset_to_composition(k)):
+        yield x
 
 
 def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
@@ -134,9 +133,9 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
         raise degree_mismatch(j.n, k.n)
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
     j_mask = sum(1 << (h - 1) for h in j.members)
-    for images, mask in _rep_images(k.n, subset_to_composition(k)):
+    for x, mask in _rep_images(k.n, subset_to_composition(k)):
         if not mask & j_mask:
-            yield Permutation(images, check=False)
+            yield x
 
 
 def _cells(images: tuple[int, ...], j_data, k_data) -> list[list[int]]:
@@ -168,13 +167,12 @@ def _checked_cells(x: Permutation, j: GeneratorSubset,
     its :func:`_cells`."""
     if x.n != j.n or j.n != k.n:
         raise degree_mismatch(x.n, j.n, k.n)
-    images = x.images
     # x^{-1} ascends at h when the value h stands before h + 1
-    if not (is_left_rep(x, k) and all(images.index(h) < images.index(h + 1)
+    if not (is_left_rep(x, k) and all(x.index(h) < x.index(h + 1)
                                       for h in j.members)):
         raise ValueError(
             f"{x.to_text()} is not a double representative for the given pair")
-    return _cells(images, _subset_data(j), _subset_data(k))
+    return _cells(x, _subset_data(j), _subset_data(k))
 
 
 def intersection_table(x: Permutation, j: GeneratorSubset,
@@ -320,9 +318,6 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     j_blocks, kappa, _ = j_data
     k_blocks, nu, _ = k_data
     r = len(kappa)
-    # both enumerations admit every degree through their own bound; only
-    # above it does the caller's raised bound need to reach them
-    bound = {"max_degree": max_degree} if n > BASIS_DEGREE_MAX else {}
     if parabolic:
         j_subgroup = _presentation_subgroup(j_blocks)
         k_sets = [set(b) for b in k_blocks]
@@ -334,12 +329,12 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
             report.failures.append(PairFailure(x_text, check, detail))
 
     hit: dict[MarginMatrix, Permutation] = {}
-    for x in enumerate_double_set(j, k, **bound):
+    for x in enumerate_double_set(j, k, max_degree=max_degree):
         report.witnesses += 1
         xinv = x.inverse()
         computed = ordered_presentation(
             intersect(j_graph.image_under(xinv), k_graph))
-        cells = _cells(x.images, j_data, k_data)
+        cells = _cells(x, j_data, k_data)
         try:
             predicted = OrderedPresentation(c for c in cells if c)
         except ValueError as exc:
@@ -350,7 +345,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                      f"predicted {predicted.to_text()} "
                      f"but components are {computed.to_text()}")
         table = MarginMatrix(_cell_counts(cells, r), nu, kappa, check=False)
-        word = tuple(v for row in table.entries for v in row if v)
+        word = tuple(v for row in table for v in row if v)
         if computed.block_sizes() != word:
             fail(x, "reading-word",
                  f"component sizes {computed.block_sizes()} "
@@ -364,15 +359,15 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
             conjugated = set()
             for w in j_subgroup:
                 wc = xinv * w * x
-                if all({wc.images[v - 1] for v in b} == b for b in k_sets):
+                if all({wc[v - 1] for v in b} == b for b in k_sets):
                     conjugated.add(wc)
-            expected = _presentation_subgroup(computed.blocks)
+            expected = _presentation_subgroup(computed)
             if conjugated != expected:
                 fail(x, "parabolic",
                      f"conjugated intersection has {len(conjugated)} "
                      f"elements, Young subgroup has {len(expected)}")
 
-    tables = list(contingency_tables(nu, kappa, **bound))
+    tables = list(contingency_tables(nu, kappa, max_degree=max_degree))
     reference = set(tables)
     for table, x in hit.items():
         if table not in reference:

@@ -1,8 +1,8 @@
 """Permutations of ``{1..n}`` and the sparse integer group algebra over them.
 
 Permutations are kept in one-line notation: ``Permutation((3, 1, 2))`` sends
-1 to 3, 2 to 1 and 3 to 2.  Composition applies the right factor first:
-``(x * y)(i) = x(y(i))``.
+1 to 3, 2 to 1 and 3 to 2, and equals the tuple ``(3, 1, 2)``.  Composition
+applies the right factor first: ``(x * y)(i) = x(y(i))``.
 
 Elements of the group algebra and of the descent algebra (in ``algebra``)
 are both subclasses of :class:`_IntegerCombination`, which holds their
@@ -50,27 +50,34 @@ def degree_mismatch(*degrees: int) -> ValueError:
     return ValueError("degree mismatch: " + " vs ".join(map(str, degrees)))
 
 
-class Permutation:
-    """An element of the symmetric group S_n, immutable and hashable."""
+class Permutation(tuple):
+    """An element of the symmetric group S_n: the tuple of its images.
+    It equals its plain images tuple and hashes and orders like it.
 
-    __slots__ = ("images",)
+    ``check=False`` is for callers whose images are a permutation of
+    ``1..n`` by construction; it skips the validation.
+    """
 
-    def __init__(self, images: Iterable[int], check: bool = True):
-        images = tuple(images)
+    __slots__ = ()
+
+    def __new__(cls, images: Iterable[int], check: bool = True):
+        self = tuple.__new__(cls, images)
         if check:
-            n = len(images)
+            n = len(self)
             if n < 1:
                 raise ValueError("degree must be at least 1")
-            if sorted(images) != list(range(1, n + 1)):
-                raise ValueError(f"not a permutation of 1..{n}: {images!r}")
-        object.__setattr__(self, "images", images)
+            if sorted(self) != list(range(1, n + 1)):
+                raise ValueError(
+                    f"not a permutation of 1..{n}: {tuple(self)!r}")
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+    @property
+    def images(self) -> "Permutation":
+        return self
 
     @property
     def n(self) -> int:
-        return len(self.images)
+        return len(self)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -98,45 +105,31 @@ class Permutation:
 
     def to_text(self) -> str:
         """Inverse of :meth:`from_text`; comma-free only fits n <= 9."""
-        if self.n <= 9:
-            return "".join(str(v) for v in self.images)
-        return ",".join(str(v) for v in self.images)
+        return ("" if len(self) <= 9 else ",").join(map(str, self))
 
     def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"argument {i} outside 1..{self.n}")
-        return self.images[i - 1]
+        if not 1 <= i <= len(self):
+            raise ValueError(f"argument {i} outside 1..{len(self)}")
+        return self[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
             return NotImplemented
-        if self.n != other.n:
-            raise degree_mismatch(self.n, other.n)
-        images = self.images
-        return Permutation(tuple(images[v - 1] for v in other.images),
-                           check=False)
+        if len(self) != len(other):
+            raise degree_mismatch(len(self), len(other))
+        return Permutation([self[v - 1] for v in other], check=False)
 
     def inverse(self) -> "Permutation":
-        out = [0] * self.n
-        for i, v in enumerate(self.images):
-            out[v - 1] = i + 1
+        out = [0] * len(self)
+        for i, v in enumerate(self, 1):
+            out[v - 1] = i
         return Permutation(out, check=False)
 
     def length(self) -> int:
         """Coxeter length = number of inversions."""
-        images = self.images
-        n = self.n
+        n = len(self)
         return sum(1 for h in range(n) for l in range(h + 1, n)
-                   if images[l] < images[h])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
+                   if self[l] < self[h])
 
     def __repr__(self) -> str:
         return f"Permutation({self.to_text()!r})"
@@ -186,6 +179,9 @@ class _IntegerCombination:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.n, self.terms)
 
     @classmethod
     def zero(cls, n: int):
@@ -262,8 +258,7 @@ class GroupAlgebraElement(_IntegerCombination):
         return algebra_multiply(self, other)
 
     def __repr__(self) -> str:
-        parts = [f"{c}*{p.to_text()}" for p, c in
-                 sorted(self.terms.items(), key=lambda t: t[0].images)]
+        parts = [f"{c}*{p.to_text()}" for p, c in sorted(self.terms.items())]
         if len(parts) > 8:
             parts = parts[:8] + [f"... ({len(self.terms)} terms)"]
         body = " + ".join(parts) if parts else "0"
@@ -275,8 +270,6 @@ def algebra_multiply(a: GroupAlgebraElement,
     """Bilinear product; the hot loop lives in the kernel backend."""
     if a.n != b.n:
         raise degree_mismatch(a.n, b.n)
-    a_items = [(p.images, c) for p, c in a.terms.items()]
-    b_items = [(p.images, c) for p, c in b.terms.items()]
-    raw = backend.convolve(a.n, a_items, b_items)
+    raw = backend.convolve(a.n, a.terms.items(), b.terms.items())
     terms = {Permutation(img, check=False): c for img, c in raw.items()}
     return GroupAlgebraElement(a.n, terms, check=False)

@@ -114,8 +114,10 @@ def test_verify_lemma_counts_bijection_failures(capsys, monkeypatch):
     # drop each pair's last margin matrix: the witness that hits it is
     # reported once per pair
     real = descents.cosets.contingency_tables
-    monkeypatch.setattr(descents.cosets, "contingency_tables",
-                        lambda rows, cols: list(real(rows, cols))[:-1])
+    monkeypatch.setattr(
+        descents.cosets, "contingency_tables",
+        lambda rows, cols, max_degree=None:
+            list(real(rows, cols, max_degree))[:-1])
     rc, out, _ = run_cli(capsys, "verify", "3", "--lemma")
     assert rc == 1
     assert out == ("lemma: FAIL (pairs=16, witnesses=33, failures=16)\n"

@@ -9,6 +9,7 @@ from descents import (
     Composition,
     DescentElement,
     GeneratorSubset,
+    GroupAlgebraElement,
     MarginMatrix,
     OrderedPresentation,
     Permutation,
@@ -47,9 +48,6 @@ def test_composition_is_its_parts_tuple():
     assert hash(c) == hash(tuple(c))
     assert {c: 1}[(1, 3, 2)] == 1
     assert (c.n, len(c), list(c)) == (6, 3, [1, 3, 2])
-    for clone in (pickle.loads(pickle.dumps(c)), copy.copy(c),
-                  copy.deepcopy(c)):
-        assert type(clone) is Composition and clone == c
     for name in ("n", "parts", "other"):
         with pytest.raises(AttributeError):
             setattr(c, name, None)
@@ -65,6 +63,65 @@ def test_composition_is_its_parts_tuple():
     # a checked element still takes only compositions as keys
     with pytest.raises(ValueError, match="keyed by Composition"):
         DescentElement(3, {(1, 2): 1})
+
+
+@pytest.mark.parametrize("value, items, alias", [
+    (Permutation((2, 3, 1)), (2, 3, 1), "images"),
+    (OrderedPresentation([[1, 3], [2]]), ((1, 3), (2,)), "blocks"),
+    (MarginMatrix.from_entries([[1, 0], [1, 1]]), ((1, 0), (1, 1)),
+     "entries"),
+], ids=["Permutation", "OrderedPresentation", "MarginMatrix"])
+def test_value_tuple_types_are_their_tuples(value, items, alias):
+    # each equals its plain tuple and hashes like it, so a dict keyed by
+    # values of the type finds one by that tuple
+    assert isinstance(value, tuple) and value == items
+    assert hash(value) == hash(items)
+    assert {value: 1}[items] == 1
+    assert getattr(value, alias) is value
+    for name in (alias, "n", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_value_tuple_types_derive_their_sizes_and_keep_messages():
+    assert Permutation((2, 3, 1)).n == 3
+    assert OrderedPresentation([[1, 3], [2]]).n == 3
+    z = MarginMatrix.from_entries([[1, 0], [1, 1]])
+    assert (z.row_margins, z.col_margins) == ((1, 2), (2, 1))
+    assert type(z.row_margins) is type(z.col_margins) is Composition
+    nu, kappa = Composition((1, 2)), Composition((2, 1))
+    for make, message in [
+        (lambda: Permutation(()), r"^degree must be at least 1$"),
+        (lambda: Permutation((1, 1, 3)),
+         r"^not a permutation of 1\.\.3: \(1, 1, 3\)$"),
+        (lambda: MarginMatrix([[1, 0]], nu, kappa),
+         r"^matrix shape does not match margins$"),
+        (lambda: MarginMatrix([[2, -1], [0, 2]], nu, kappa),
+         r"^entries must be non-negative integers$"),
+        (lambda: MarginMatrix([[1, 1], [1, 0]], nu, kappa),
+         r"^row sums do not match row margins$"),
+        (lambda: MarginMatrix([[0, 1], [1, 1]], nu, kappa),
+         r"^column sums do not match column margins$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+@pytest.mark.parametrize("value", [
+    Composition((1, 3, 2)),
+    Permutation((2, 3, 1)),
+    OrderedPresentation([[1, 3], [2]]),
+    MarginMatrix.from_entries([[1, 0], [1, 1]]),
+    GeneratorSubset(4, [1, 3]),
+    SubsetGraph(4, [(1, 3), (2, 4)]),
+    DescentElement(3, {Composition((2, 1)): 2, Composition((3,)): -1}),
+    GroupAlgebraElement(3, {Permutation((2, 1, 3)): 5}),
+], ids=lambda v: type(v).__name__)
+def test_value_types_copy_and_pickle(value):
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                  copy.deepcopy(value)):
+        assert type(clone) is type(value) and clone == value
+        assert repr(clone) == repr(value)
 
 
 def test_subset_from_text():
@@ -147,12 +204,18 @@ def test_ordered_presentation_via_union_find():
 
 def test_ordered_presentation_validation():
     OrderedPresentation([[1], [2, 3]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^blocks must be listed by least element$"):
         OrderedPresentation([[2, 3], [1]])  # least elements out of order
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^blocks must be disjoint$"):
         OrderedPresentation([[1, 2], [2, 3]])  # overlap
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^blocks must partition 1\.\.2$"):
         OrderedPresentation([[1], [3]])  # not a partition of 1..n
+    with pytest.raises(ValueError,
+                       match="^presentation needs at least one block$"):
+        OrderedPresentation([])  # no blocks
+    with pytest.raises(ValueError, match="^blocks must be non-empty$"):
+        OrderedPresentation([[1], []])  # an empty block
 
 
 def test_presentation_of_subset_graph_matches_runs():

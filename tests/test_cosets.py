@@ -317,7 +317,7 @@ def test_verify_pair_bijection_names_missing_and_extra_tables(monkeypatch):
                                    subset_to_composition(j)))
     dropped = real[-1]
     monkeypatch.setattr(descents.cosets, "contingency_tables",
-                        lambda rows, cols: iter(real[:-1]))
+                        lambda rows, cols, max_degree=None: iter(real[:-1]))
     report = verify_subset_pair(j, k)
     assert not report.passed
     assert [f.check for f in report.failures] == ["bijection"]
@@ -326,7 +326,8 @@ def test_verify_pair_bijection_names_missing_and_extra_tables(monkeypatch):
 
     extra = MarginMatrix.from_entries([[3]])
     monkeypatch.setattr(descents.cosets, "contingency_tables",
-                        lambda rows, cols: iter(real + [extra]))
+                        lambda rows, cols, max_degree=None:
+                            iter(real + [extra]))
     report = verify_subset_pair(j, k)
     assert not report.passed
     assert [f.check for f in report.failures] == ["bijection"]
@@ -342,7 +343,8 @@ def test_verify_pair_bijection_names_repeated_table(monkeypatch):
     real = list(enumerate_double_set(j, k))
     monkeypatch.setattr(
         descents.cosets, "enumerate_double_set",
-        lambda j, k: iter(real + [Permutation.from_text("213")]))
+        lambda j, k, max_degree=None:
+            iter(real + [Permutation.from_text("213")]))
     report = verify_subset_pair(j, k, parabolic=False)
     repeated = [f for f in report.failures if f.check == "bijection"]
     assert len(repeated) == 1
