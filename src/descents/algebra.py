@@ -135,9 +135,9 @@ def element_multiply(a: DescentElement, b: DescentElement,
             scale = ca * cb
             for eta, c in _solomon(n, kappa, nu).terms.items():
                 terms[eta] = get(eta, 0) + scale * c
-    for c in terms.values():
-        check_coefficient(c)
-    return DescentElement(n, terms, check=False)
+    return DescentElement(
+        n, {eta: check_coefficient(c) for eta, c in terms.items() if c},
+        check=False)
 
 
 # One entry per degree: S_n's permutations, listed once by descent set
@@ -195,8 +195,7 @@ def to_group_algebra(a: DescentElement,
 # caller has checked the degree bound, so one entry serves every bound
 @lru_cache(maxsize=256)
 def _basis_indicator(n: int, kappa: Composition) -> GroupAlgebraElement:
-    return to_group_algebra(DescentElement(n, {kappa: 1}, check=False),
-                            max_degree=n)
+    return to_group_algebra(basis_element(kappa), max_degree=n)
 
 
 def oracle_multiply(kappa: Composition, nu: Composition,

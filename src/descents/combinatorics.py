@@ -255,20 +255,23 @@ class MarginMatrix(tuple):
     """A non-negative integer matrix: a tuple of row tuples, equal to its
     plain rows tuple and hashed like it.
 
-    Rows sum to ``row_margins`` and columns to ``col_margins``; the
-    constructor checks both unless ``check=False``, which is for callers
-    whose entries are a tuple of row tuples meeting the margins by
-    construction, kept as they are given.
+    Rows sum to ``row_margins`` and columns to ``col_margins``.
+    ``MarginMatrix(rows)`` reads both from the rows and checks any given;
+    ``check=False`` keeps, as given, rows that are by construction a tuple
+    of equal-length non-negative integer tuples with positive margins.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries: Iterable[Iterable[int]],
-                row_margins: Composition, col_margins: Composition,
+                row_margins: Composition | None = None,
+                col_margins: Composition | None = None,
                 check: bool = True):
         if not check:
             return tuple.__new__(cls, entries)
         self = tuple.__new__(cls, map(tuple, entries))
+        row_margins = self.row_margins if row_margins is None else row_margins
+        col_margins = self.col_margins if col_margins is None else col_margins
         s, r = len(row_margins), len(col_margins)
         if len(self) != s or any(len(row) != r for row in self):
             raise ValueError("matrix shape does not match margins")
@@ -281,9 +284,6 @@ class MarginMatrix(tuple):
         if tuple(map(sum, zip(*self))) != col_margins:
             raise ValueError("column sums do not match column margins")
         return self
-
-    def __getnewargs__(self):
-        return tuple(self), self.row_margins, self.col_margins
 
     @property
     def entries(self) -> "MarginMatrix":
@@ -299,9 +299,7 @@ class MarginMatrix(tuple):
 
     @classmethod
     def from_entries(cls, entries: Iterable[Iterable[int]]) -> "MarginMatrix":
-        entries = tuple(map(tuple, entries))
-        return cls(entries, Composition(map(sum, entries)),
-                   Composition(map(sum, zip(*entries))))
+        return cls(entries)
 
     def reading_word(self) -> Composition:
         """Non-zero entries scanned row by row.
@@ -435,7 +433,7 @@ def contingency_tables(row_margins: Composition, col_margins: Composition,
         raise degree_mismatch(n, col_margins.n)
     check_degree(n, max_degree, BASIS_DEGREE_MAX)
     for entries in backend.enumerate_tables(row_margins, col_margins):
-        yield MarginMatrix(entries, row_margins, col_margins, check=False)
+        yield MarginMatrix(entries, check=False)
 
 
 def reading_word(z: MarginMatrix) -> Composition:

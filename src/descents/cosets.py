@@ -189,10 +189,8 @@ def intersection_table(x: Permutation, j: GeneratorSubset,
     two partitions of ``1..n``, so the margins hold by construction and
     the table is built unchecked.
     """
-    cells = _checked_cells(x, j, k)
-    kappa = _subset_data(j)[1]
-    return MarginMatrix(_cell_counts(cells, len(kappa)), _subset_data(k)[1],
-                        kappa, check=False)
+    r = len(_subset_data(j)[0])
+    return MarginMatrix(_cell_counts(_checked_cells(x, j, k), r), check=False)
 
 
 def predicted_presentation(x: Permutation, j: GeneratorSubset,
@@ -344,7 +342,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                 fail(x, "presentation",
                      f"predicted {predicted.to_text()} "
                      f"but components are {computed.to_text()}")
-        table = MarginMatrix(_cell_counts(cells, r), nu, kappa, check=False)
+        table = MarginMatrix(_cell_counts(cells, r), check=False)
         word = tuple(v for row in table for v in row if v)
         if computed.block_sizes() != word:
             fail(x, "reading-word",

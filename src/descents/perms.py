@@ -7,7 +7,8 @@ applies the right factor first: ``(x * y)(i) = x(y(i))``.
 Elements of the group algebra and of the descent algebra (in ``algebra``)
 are both subclasses of :class:`_IntegerCombination`, which holds their
 shared coefficient arithmetic: exact integers, zeros dropped, every
-coefficient within signed 64-bit range, immutable.
+coefficient within signed 64-bit range, immutable.  A trusted build
+(``check=False``) adopts the dict it is given, which its producer cleaned.
 
 >>> x = Permutation.from_text("132")
 >>> y = Permutation.from_text("213")
@@ -153,6 +154,9 @@ class _IntegerCombination:
 
     ``terms`` maps each key to a non-zero signed 64-bit coefficient; treat
     it as read-only.  Subclasses add ``key_type``, ``_multiply`` and text.
+    ``check=False`` adopts ``terms`` uncopied: a fresh dict the caller will
+    not change, with ``key_type`` keys of degree n and non-zero in-range
+    coefficients.  The checked build validates and copies, dropping zeros.
     """
 
     __slots__ = ("n", "terms")
@@ -160,22 +164,21 @@ class _IntegerCombination:
 
     def __init__(self, n: int, terms: Mapping | None = None,
                  check: bool = True):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if check:
-                    if not isinstance(key, self.key_type):
-                        raise ValueError("terms must be keyed by "
-                                         + self.key_type.__name__)
-                    if key.n != n:
-                        raise ValueError(
-                            f"degree mismatch: element of degree {n} cannot "
-                            f"hold a key of degree {key.n}")
-                    check_coefficient(coeff)
-                if coeff:
+        if check:
+            clean = {}
+            for key, coeff in (terms or {}).items():
+                if not isinstance(key, self.key_type):
+                    raise ValueError("terms must be keyed by "
+                                     + self.key_type.__name__)
+                if key.n != n:
+                    raise ValueError(
+                        f"degree mismatch: element of degree {n} cannot "
+                        f"hold a key of degree {key.n}")
+                if check_coefficient(coeff):
                     clean[key] = coeff
+            terms = clean
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -201,6 +204,8 @@ class _IntegerCombination:
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             terms[key] = check_coefficient(terms.get(key, 0) + sign * coeff)
+            if not terms[key]:
+                del terms[key]
         return type(self)(self.n, terms, check=False)
 
     def __add__(self, other):
@@ -217,11 +222,9 @@ class _IntegerCombination:
         if isinstance(other, type(self)):
             return self._multiply(other)
         if isinstance(other, int):
-            return type(self)(
-                self.n,
-                {k: check_coefficient(c * other)
-                 for k, c in self.terms.items()},
-                check=False)
+            terms = self.terms if other else {}
+            return type(self)(self.n, {k: check_coefficient(c * other)
+                                       for k, c in terms.items()}, check=False)
         return NotImplemented
 
     def __rmul__(self, other):

@@ -1,6 +1,7 @@
 """Property tests: the reading-word sweep against the table walk, element
-products against their basis products, and the algebra laws on random
-elements.
+products against their basis products, the algebra laws on random
+elements, and the coset lemma with its table bijection on random subset
+pairs.
 
 The examples come from a fixed seed (``derandomize=True``), so every run
 checks the same cases.
@@ -14,9 +15,13 @@ from hypothesis import strategies as st
 from descents import (
     Composition,
     DescentElement,
+    GeneratorSubset,
     backend,
+    contingency_tables,
     element_multiply,
     solomon_multiply,
+    subset_to_composition,
+    verify_subset_pair,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
@@ -42,6 +47,14 @@ def cut_lists(n):
 def composition_pairs(draw, max_n):
     n = draw(st.integers(1, max_n))
     return n, parts(draw(cut_lists(n))), parts(draw(cut_lists(n)))
+
+
+@st.composite
+def subset_pairs(draw, max_n):
+    """Two generator subsets of one degree."""
+    n = draw(st.integers(1, max_n))
+    members = st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
+    return GeneratorSubset(n, draw(members)), GeneratorSubset(n, draw(members))
 
 
 @st.composite
@@ -87,3 +100,15 @@ def test_element_products_associate_and_distribute(triple):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
+
+
+@PROPERTY
+@given(subset_pairs(7))
+def test_lemma_and_bijection_hold_on_subset_pairs(pair):
+    # the exhaustive lemma sweeps stop at n=6; random pairs reach n=7
+    j, k = pair
+    report = verify_subset_pair(j, k, parabolic=False, max_degree=7)
+    assert report.passed, report.to_text()
+    tables = contingency_tables(subset_to_composition(k),
+                                subset_to_composition(j), max_degree=7)
+    assert report.witnesses == len(list(tables))
