@@ -34,18 +34,15 @@ from .combinatorics import (
     SubsetGraph,
     all_compositions,
     all_generator_subsets,
-    apply_permutation,
     composition_to_subset,
     contingency_tables,
     graph_of_subset,
     intersect,
     ordered_presentation,
-    reading_word,
     subset_to_composition,
     to_dot,
 )
 from .cosets import (
-    BASIS_DEGREE_MAX,
     LEMMA_DEGREE_DEFAULT,
     PARABOLIC_DEGREE_DEFAULT,
     PairReport,
@@ -57,6 +54,7 @@ from .cosets import (
     verify_subset_pair,
 )
 from .perms import (
+    BASIS_DEGREE_MAX,
     ORACLE_DEGREE_DEFAULT,
     GroupAlgebraElement,
     Permutation,
@@ -83,7 +81,6 @@ __all__ = [
     "algebra_multiply",
     "all_compositions",
     "all_generator_subsets",
-    "apply_permutation",
     "backend_name",
     "basis_element",
     "composition_to_subset",
@@ -105,7 +102,6 @@ __all__ = [
     "ordered_presentation",
     "predicted_presentation",
     "reading_multinomial_sum",
-    "reading_word",
     "solomon_multiply",
     "structure_constants",
     "structure_records",

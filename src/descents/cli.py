@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text",
                         help="output format (default: text)")
     common.add_argument("--max-n", type=int, default=None, metavar="N",
-                        help="raise a default degree bound (prints a warning)")
+                        help="raise a default degree bound; verify and "
+                             "multiply --oracle warn above the default")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

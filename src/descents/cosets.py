@@ -34,7 +34,7 @@ from .combinatorics import (
     ordered_presentation,
     subset_to_composition,
 )
-from .perms import (  # noqa: F401 (BASIS_DEGREE_MAX is re-exported)
+from .perms import (
     BASIS_DEGREE_MAX,
     Permutation,
     check_degree,
@@ -343,11 +343,11 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                      f"predicted {predicted.to_text()} "
                      f"but components are {computed.to_text()}")
         table = MarginMatrix(_cell_counts(cells, r), check=False)
-        word = tuple(v for row in table for v in row if v)
+        word = table.reading_word()
         if computed.block_sizes() != word:
             fail(x, "reading-word",
                  f"component sizes {computed.block_sizes()} "
-                 f"!= reading word {word}")
+                 f"!= reading word {tuple(word)}")
         if table in hit:
             fail(x, "bijection", f"table {table.to_text()} "
                                  f"already hit by {hit[table].to_text()}")

@@ -26,7 +26,7 @@ import itertools
 from typing import Iterable, Iterator, Mapping
 
 from . import backend
-from .backend import INT64_MAX, INT64_MIN, check_coefficient  # noqa: F401
+from .backend import check_coefficient
 
 #: Largest degree at which whole-group (order n!) computations run without
 #: an explicit override.
@@ -67,13 +67,10 @@ class Permutation(tuple):
             n = len(self)
             if n < 1:
                 raise ValueError("degree must be at least 1")
-            if sorted(self) != list(range(1, n + 1)):
+            if (any(type(v) is not int for v in self)
+                    or sorted(self) != list(range(1, n + 1))):
                 raise ValueError(
                     f"not a permutation of 1..{n}: {tuple(self)!r}")
-        return self
-
-    @property
-    def images(self) -> "Permutation":
         return self
 
     @property
@@ -97,9 +94,12 @@ class Permutation(tuple):
         if not text:
             raise ValueError("empty permutation text")
         if "," in text:
-            images = [int(part) for part in text.split(",")]
+            try:
+                images = [int(part) for part in text.split(",")]
+            except ValueError:
+                raise ValueError(f"bad permutation text: {text!r}") from None
         else:
-            if not text.isdigit() or "0" in text:
+            if not text.isdecimal() or "0" in text:
                 raise ValueError(f"bad permutation text: {text!r}")
             images = [int(ch) for ch in text]
         return cls(images)
@@ -156,7 +156,7 @@ class _IntegerCombination:
     it as read-only.  Subclasses add ``key_type``, ``_multiply`` and text.
     ``check=False`` adopts ``terms`` uncopied: a fresh dict the caller will
     not change, with ``key_type`` keys of degree n and non-zero in-range
-    coefficients.  The checked build validates and copies, dropping zeros.
+    ``int`` coefficients; the checked build validates, copies, drops zeros.
     """
 
     __slots__ = ("n", "terms")
@@ -174,6 +174,9 @@ class _IntegerCombination:
                     raise ValueError(
                         f"degree mismatch: element of degree {n} cannot "
                         f"hold a key of degree {key.n}")
+                if type(coeff) is not int:
+                    raise ValueError(
+                        f"coefficients must be integers: {coeff!r}")
                 if check_coefficient(coeff):
                     clean[key] = coeff
             terms = clean

@@ -190,7 +190,7 @@ def test_representative_counts():
             k = composition_to_subset(nu)
             reps = enumerate_left_reps(k)
             if n <= 5:
-                listed = [x.images for x in reps]
+                listed = list(reps)
                 assert listed == filter_left_reps(n, k.members)
                 count = len(listed)
             else:

@@ -207,7 +207,7 @@ def test_verify_oracle_sampled_mode(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "oracle_agrees",
                         lambda kappa, nu, max_degree=None:
-                        calls.append((kappa.parts, nu.parts)) or True)
+                        calls.append((kappa, nu)) or True)
     rc, out, _ = run_cli(capsys, "verify", "7", "--oracle")
     assert rc == 0
     assert "mode=sampled, seed=0" in out

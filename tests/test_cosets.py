@@ -41,7 +41,7 @@ def test_is_left_rep_matches_filter():
 def test_enumerate_left_reps_matches_filter():
     for n in range(1, 7):
         for k in all_generator_subsets(n):
-            reps = [x.images for x in enumerate_left_reps(k)]
+            reps = list(enumerate_left_reps(k))
             assert reps == filter_left_reps(n, k.members)
 
 
@@ -49,14 +49,14 @@ def test_enumerate_left_reps_is_sorted():
     # the filter oracle emits lexicographic order by construction; also
     # check it explicitly for one mid-sized case
     k = GeneratorSubset(7, {1, 2, 5})
-    reps = [x.images for x in enumerate_left_reps(k)]
+    reps = list(enumerate_left_reps(k))
     assert reps == sorted(reps)
 
 
 def test_left_rep_count_is_multinomial():
     for n in range(1, 7):
         for k in all_generator_subsets(n):
-            parts = subset_to_composition(k).parts
+            parts = subset_to_composition(k)
             want = math.factorial(n)
             for p in parts:
                 want //= math.factorial(p)
@@ -77,7 +77,7 @@ def test_rep_images_cache_is_bounded():
     for n in range(1, 8):
         for k in all_generator_subsets(n):
             want = math.factorial(n)
-            for p in subset_to_composition(k).parts:
+            for p in subset_to_composition(k):
                 want //= math.factorial(p)
             assert sum(1 for _ in enumerate_left_reps(k)) == want
     info = cache.cache_info()
@@ -94,10 +94,9 @@ def test_double_set_matches_filter():
                 want = []
                 for p in filter_left_reps(n, k.members):
                     x = Permutation(p, check=False)
-                    if all(x.inverse().images[h - 1] < x.inverse().images[h]
-                           for h in jm):
+                    if all(x.inverse()[h - 1] < x.inverse()[h] for h in jm):
                         want.append(p)
-                got = [x.images for x in enumerate_double_set(j, k)]
+                got = list(enumerate_double_set(j, k))
                 assert got == want
 
 
@@ -129,8 +128,8 @@ def test_degree_mismatch_names_every_degree():
 
 
 def test_intersection_table_margins():
-    # the table is built unchecked, so a validating rebuild checks its
-    # entries against the margins, not only the margins themselves
+    # the table is built unchecked: it must have the pair's margins and
+    # survive a validating rebuild
     for n in range(1, 6):
         for j in all_generator_subsets(n):
             for k in all_generator_subsets(n):
@@ -138,16 +137,15 @@ def test_intersection_table_margins():
                     z = intersection_table(x, j, k)
                     assert z.row_margins == subset_to_composition(k)
                     assert z.col_margins == subset_to_composition(j)
-                    assert MarginMatrix(z.entries, z.row_margins,
-                                        z.col_margins) == z
+                    assert MarginMatrix(z) == z
 
 
 def reference_intersections(x, j, k):
     """``x^{-1}(J_q) & K_m`` as sorted tuples, one row per K block, from
     the inverse and the union-find blocks by set intersection."""
-    xi = x.inverse().images
-    j_blocks = ordered_presentation(graph_of_subset(j)).blocks
-    k_blocks = ordered_presentation(graph_of_subset(k)).blocks
+    xi = x.inverse()
+    j_blocks = ordered_presentation(graph_of_subset(j))
+    k_blocks = ordered_presentation(graph_of_subset(k))
     pulled = [{xi[u - 1] for u in block} for block in j_blocks]
     return [[tuple(sorted(pb & set(km))) for pb in pulled]
             for km in k_blocks]
@@ -161,9 +159,9 @@ def test_cell_index_matches_set_intersections():
             for k in all_generator_subsets(n):
                 for x in enumerate_double_set(j, k):
                     rows = reference_intersections(x, j, k)
-                    assert intersection_table(x, j, k).entries == tuple(
+                    assert intersection_table(x, j, k) == tuple(
                         tuple(len(c) for c in row) for row in rows)
-                    assert predicted_presentation(x, j, k).blocks == tuple(
+                    assert predicted_presentation(x, j, k) == tuple(
                         c for row in rows for c in row if c)
 
 
@@ -188,7 +186,7 @@ def test_intersection_graph_presentations_pass_validation():
                     p = ordered_presentation(
                         intersect(graph_of_subset(j).image_under(x.inverse()),
                                   graph_of_subset(k)))
-                    rebuilt = OrderedPresentation(p.blocks)
+                    rebuilt = OrderedPresentation(p)
                     assert rebuilt == p
                     assert rebuilt.n == p.n == n
 
@@ -199,7 +197,7 @@ def test_intersection_table_small_example():
     # the two matrices with row sums 2,1 and column sums 1,2
     j = GeneratorSubset(3, {2})
     k = GeneratorSubset(3, {1})
-    tables = {x.images: intersection_table(x, j, k).entries
+    tables = {x: intersection_table(x, j, k)
               for x in enumerate_double_set(j, k)}
     assert tables == {
         (1, 2, 3): ((1, 1), (0, 1)),
@@ -244,8 +242,8 @@ def test_predicted_presentation_matches_graph_components():
 def test_presentation_subgroup_matches_young_oracle():
     for n in range(1, 6):
         for k in all_generator_subsets(n):
-            blocks = ordered_presentation(graph_of_subset(k)).blocks
-            got = {p.images
+            blocks = ordered_presentation(graph_of_subset(k))
+            got = {p
                    for p in descents.cosets._presentation_subgroup(blocks)}
             assert got == set(young_subgroup(n, k.members))
 
@@ -324,7 +322,7 @@ def test_verify_pair_bijection_names_missing_and_extra_tables(monkeypatch):
     assert dropped.to_text() in report.failures[0].detail
     assert report.failures[0].x_text != "-"
 
-    extra = MarginMatrix.from_entries([[3]])
+    extra = MarginMatrix([[3]])
     monkeypatch.setattr(descents.cosets, "contingency_tables",
                         lambda rows, cols, max_degree=None:
                             iter(real + [extra]))
