@@ -10,7 +10,8 @@ on that pair, :func:`_merged_row`.  The counting identity re-weights a
 product's terms with :func:`sum_reading_multinomials` and sweeps nothing
 itself.
 :func:`enumerate_tables` is the only walk over single tables, for callers
-that need the tables.
+that need the tables; its row fillings, keyed on the same pair, come from
+a second bounded cache of 4 096 entries, :func:`_row_fillings`.
 
 Conventions:
 
@@ -109,9 +110,15 @@ def _check_margins(row_margins, col_margins):
         raise ValueError("row and column margins must have equal totals")
 
 
+# One entry per (row sum, column sums left).  A full pass over the
+# ordered composition pairs of degree n reaches 1 006 keys at n=6 and
+# 3 336 at n=7, so 4 096 holds every key of one degree through n=7.  By
+# tracemalloc those entries take about 1.1 MiB at n=6 and 5.1 MiB at n=7.
+@lru_cache(maxsize=4096)
 def _row_fillings(total, cols):
     """Every row summing to ``total`` with cells at most ``cols``, largest
-    first, each paired with the column sums it leaves."""
+    first, each paired with the column sums it leaves, as a tuple of
+    ``(row, rest)`` tuples that no caller can change."""
     fills = [((), (), total)]
     after = sum(cols)
     for c in cols:
@@ -119,7 +126,7 @@ def _row_fillings(total, cols):
         fills = [(row + (z,), rest + (c - z,), left - z)
                  for row, rest, left in fills
                  for z in range(min(left, c), max(left - after, 0) - 1, -1)]
-    return [(row, rest) for row, rest, _ in fills]
+    return tuple((row, rest) for row, rest, _ in fills)
 
 
 def enumerate_tables(row_margins, col_margins):
@@ -127,16 +134,16 @@ def enumerate_tables(row_margins, col_margins):
 
     Emitted in row-major lexicographic order with the largest entries
     first; callers and tests rely on that order.  The walk fills one row
-    at a time; each row's fillings are memoised for the call on the row
-    index and the column sums left, and the last row is forced: it is
-    the column sums left.
+    at a time.  A row's fillings depend only on its sum and the column
+    sums left, so they come from one bounded cache shared by every call,
+    :func:`_row_fillings`; the last row is forced: it is the column sums
+    left.
 
     >>> enumerate_tables((2, 1), (1, 2))
     [((1, 1), (0, 1)), ((0, 2), (1, 0))]
     """
     _check_margins(row_margins, col_margins)
     last = len(row_margins) - 1
-    memo = {}
     prefix = []
     out = []
 
@@ -144,10 +151,7 @@ def enumerate_tables(row_margins, col_margins):
         if i == last:
             out.append((*prefix, cols))
             return
-        fills = memo.get((i, cols))
-        if fills is None:
-            fills = memo[i, cols] = _row_fillings(row_margins[i], cols)
-        for row, rest in fills:
+        for row, rest in _row_fillings(row_margins[i], cols):
             prefix.append(row)
             walk(i + 1, rest)
             prefix.pop()

@@ -18,6 +18,7 @@ parts, blocks or rows, equal to that plain tuple and hashed like it.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from . import backend
@@ -78,14 +79,21 @@ class Composition(tuple):
         return f"Composition({self.to_text()!r})"
 
 
+def _check_subset_degree(n: int) -> None:
+    """Raise unless the degree ``n`` is an ``int`` of at least 1."""
+    if type(n) is not int:
+        raise ValueError(f"degree must be an integer: {n!r}")
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+
+
 class GeneratorSubset:
     """A subset of the generator indices ``1..n-1`` for a fixed degree n."""
 
     __slots__ = ("n", "members")
 
     def __init__(self, n: int, members: Iterable[int] = ()):
-        if n < 1:
-            raise ValueError("degree must be at least 1")
+        _check_subset_degree(n)
         members = frozenset(members)
         for m in members:
             if type(m) is not int or not 1 <= m <= n - 1:
@@ -147,13 +155,13 @@ class SubsetGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  check: bool = True):
         if check:
-            if n < 1:
-                raise ValueError("degree must be at least 1")
+            _check_subset_degree(n)
             norm = set()
             for u, v in edges:
                 if u == v:
                     raise ValueError(f"loop edge at {u}")
-                if not (1 <= u <= n and 1 <= v <= n):
+                if not (type(u) is int and type(v) is int
+                        and 1 <= u <= n and 1 <= v <= n):
                     raise ValueError(f"edge ({u},{v}) outside 1..{n}")
                 norm.add((u, v) if u < v else (v, u))
             edges = frozenset(norm)
@@ -173,10 +181,11 @@ class SubsetGraph:
         so the image is built unchecked once each pair is ordered."""
         if x.n != self.n:
             raise degree_mismatch(x.n, self.n)
-        edges = frozenset((a, b) if a < b else (b, a)
-                          for a, b in ((x[u - 1], x[v - 1])
-                                       for u, v in self.edges))
-        return SubsetGraph(self.n, edges, check=False)
+        edges = set()
+        for u, v in self.edges:
+            a, b = x[u - 1], x[v - 1]
+            edges.add((a, b) if a < b else (b, a))
+        return SubsetGraph(self.n, frozenset(edges), check=False)
 
     def intersection(self, other: "SubsetGraph") -> "SubsetGraph":
         if self.n != other.n:
@@ -215,22 +224,32 @@ class OrderedPresentation(tuple):
     def __new__(cls, blocks: Iterable[Iterable[int]], check: bool = True):
         if not check:
             return tuple.__new__(cls, map(tuple, blocks))
-        self = tuple.__new__(cls, (tuple(sorted(b)) for b in blocks))
+        self = tuple.__new__(cls, map(tuple, map(sorted, blocks)))
         if not self:
             raise ValueError("presentation needs at least one block")
-        seen: set[int] = set()
-        for b in self:
-            if not b:
-                raise ValueError("blocks must be non-empty")
-            if not seen.isdisjoint(b):
+        # Each check runs in C.  Two blocks overlap when their union is
+        # smaller than their vertex sets' sizes summed; as in a scan, only
+        # an overlap ahead of the first empty block is reported first.
+        if () in self:
+            head = self[:self.index(())]
+            if len(set().union(*head)) != sum(map(len, map(set, head))):
                 raise ValueError("blocks must be disjoint")
-            seen.update(b)
+            raise ValueError("blocks must be non-empty")
+        seen = set().union(*self)
         n = len(seen)
-        if seen != set(range(1, n + 1)):
+        total = sum(map(len, self))
+        if n != total and n != sum(map(len, map(set, self))):
+            raise ValueError("blocks must be disjoint")
+        # n distinct ints from 1 to n are 1..n; a bool or float equal to a
+        # vertex is not one
+        if (not {int}.issuperset(map(type, seen))
+                or min(seen) != 1 or max(seen) != n):
             raise ValueError(f"blocks must partition 1..{n}")
-        mins = [b[0] for b in self]
+        mins = list(map(itemgetter(0), self))
         if mins != sorted(mins):
             raise ValueError("blocks must be listed by least element")
+        if n != total:  # a vertex listed twice in one block
+            raise ValueError(f"blocks must partition 1..{n}")
         return self
 
     @property
@@ -264,14 +283,14 @@ class MarginMatrix(tuple):
         if not check:
             return tuple.__new__(cls, entries)
         self = tuple.__new__(cls, map(tuple, entries))
-        self.row_margins  # raises unless every row sum is positive
-        r = len(self.col_margins)
-        if any(len(row) != r for row in self):
-            raise ValueError("matrix shape does not match margins")
         for row in self:
             for v in row:
                 if type(v) is not int or v < 0:
                     raise ValueError("entries must be non-negative integers")
+        self.row_margins  # raises unless every row sum is positive
+        r = len(self.col_margins)
+        if any(len(row) != r for row in self):
+            raise ValueError("matrix shape does not match margins")
         return self
 
     @property
@@ -349,27 +368,36 @@ def intersect(g: SubsetGraph, h: SubsetGraph) -> SubsetGraph:
 
 
 def ordered_presentation(g: SubsetGraph) -> OrderedPresentation:
-    """Connected components of ``g`` sorted by least element (union-find)."""
-    parent = list(range(g.n + 1))
+    """Connected components of ``g`` sorted by least element (union-find).
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    A union links the larger root below the smaller one, and path halving
+    only moves a pointer further down, so no vertex points above itself
+    and each root is the least element of its component.  Then one pass
+    ``parent[v] = parent[parent[v]]`` in increasing v points every vertex
+    at its root, since v's parent was settled first, and opens the groups
+    in root order: a sorted partition of ``1..n`` with no sort.
+    """
+    n = g.n
+    parent = list(range(n + 1))
     for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
+        # find both roots, halving the paths: each step points the vertex
+        # at its grandparent, then moves there
+        while u != parent[u]:
+            parent[u] = u = parent[parent[u]]
+        while v != parent[v]:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
     groups: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
-        groups.setdefault(find(v), []).append(v)
-    # each group lists its vertices in increasing order, and the roots are
-    # the least elements: a sorted partition of 1..n by construction
-    return OrderedPresentation((groups[root] for root in sorted(groups)),
-                               check=False)
+    for v in range(1, n + 1):
+        root = parent[v] = parent[parent[v]]
+        if root == v:
+            groups[v] = [v]
+        else:
+            groups[root].append(v)
+    return OrderedPresentation(groups.values(), check=False)
 
 
 def to_dot(g: SubsetGraph) -> str:

@@ -138,33 +138,35 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
             yield x
 
 
-def _cells(images: tuple[int, ...], j_data, k_data) -> list[list[int]]:
-    """``x^{-1}(J_q) & K_m`` for every ``(m, q)``, row-major with q inner,
+def _cells(images: tuple[int, ...], j_data, k_data) -> dict[int, list[int]]:
+    """The non-empty ``x^{-1}(J_q) & K_m``, each the list of its positions
+    in increasing order, keyed by ``m * r + q`` for r blocks of J, with
     ``J_q`` and ``K_m`` in the order of their subset graph's ordered
     presentation; ``j_data`` and ``k_data`` are the subsets'
     :func:`_subset_data`.
 
     Position p lies in ``K_m`` for ``m = where_K[p]``, and in
     ``x^{-1}(J_q)`` for ``q = where_J[x(p)]``, so one pass over the images
-    drops each position into its cell, in increasing order."""
-    j_blocks, _, j_where = j_data
-    k_blocks, _, k_where = k_data
-    r = len(j_blocks)
-    cells = [[] for _ in range(r * len(k_blocks))]
+    drops each position into its cell, and opens only the cells it
+    meets: at most n of the r * c."""
+    r = len(j_data[0])
+    j_where, k_where = j_data[2], k_data[2]
+    cells: dict[int, list[int]] = {}
     for p, v in enumerate(images, 1):
-        cells[k_where[p] * r + j_where[v]].append(p)
+        cells.setdefault(k_where[p] * r + j_where[v], []).append(p)
     return cells
 
 
-def _cell_counts(cells: list[list[int]], r: int) -> tuple[tuple[int, ...], ...]:
-    """The cell sizes as a tuple of row tuples, ``r`` cells a row."""
-    return tuple(zip(*[map(len, cells)] * r))
+def _table(counts: list[int], r: int) -> MarginMatrix:
+    """The flat counts ``counts[m * r + q]`` as rows of r, built unchecked:
+    the cells split two partitions of ``1..n``, so the margins hold by
+    construction."""
+    return MarginMatrix(tuple(zip(*[iter(counts)] * r)), check=False)
 
 
-def _checked_cells(x: Permutation, j: GeneratorSubset,
-                   k: GeneratorSubset) -> list[list[int]]:
-    """Check that x is a double representative of the pair, then return
-    its :func:`_cells`."""
+def _check_double_rep(x: Permutation, j: GeneratorSubset,
+                      k: GeneratorSubset) -> None:
+    """Raise unless x is a double representative of the pair."""
     if x.n != j.n or j.n != k.n:
         raise degree_mismatch(x.n, j.n, k.n)
     # x^{-1} ascends at h when the value h stands before h + 1
@@ -172,7 +174,6 @@ def _checked_cells(x: Permutation, j: GeneratorSubset,
                                       for h in j.members)):
         raise ValueError(
             f"{x.to_text()} is not a double representative for the given pair")
-    return _cells(x, _subset_data(j), _subset_data(k))
 
 
 def intersection_table(x: Permutation, j: GeneratorSubset,
@@ -185,21 +186,29 @@ def intersection_table(x: Permutation, j: GeneratorSubset,
     J, and on the double set the map is a bijection onto all margin
     matrices.  x is first checked to be a double representative.  Each
     position p of x is then counted in cell ``(where_K[p], where_J[x(p)])``
-    in one pass, with no inverse and no set operations.  The cells split
-    two partitions of ``1..n``, so the margins hold by construction and
-    the table is built unchecked.
+    of one flat list, in one pass, with no inverse, no set operations and
+    no list of positions.
     """
-    r = len(_subset_data(j)[0])
-    return MarginMatrix(_cell_counts(_checked_cells(x, j, k), r), check=False)
+    _check_double_rep(x, j, k)
+    j_blocks, _, j_where = _subset_data(j)
+    k_blocks, _, k_where = _subset_data(k)
+    r = len(j_blocks)
+    counts = [0] * (r * len(k_blocks))
+    for p, v in enumerate(x, 1):
+        counts[k_where[p] * r + j_where[v]] += 1
+    return _table(counts, r)
 
 
 def predicted_presentation(x: Permutation, j: GeneratorSubset,
                            k: GeneratorSubset) -> OrderedPresentation:
     """The intersections ``x^{-1}(J_q) & K_m`` listed q-inner, empty ones
-    dropped.  For a double representative this lists the components of the
-    intersection graph in least-element order; the presentation is
-    validated, so a list out of that order is rejected."""
-    return OrderedPresentation(c for c in _checked_cells(x, j, k) if c)
+    dropped: the non-empty cells in key order.  For a double
+    representative this lists the components of the intersection graph in
+    least-element order; the presentation is validated, so a list out of
+    that order is rejected."""
+    _check_double_rep(x, j, k)
+    cells = _cells(x, _subset_data(j), _subset_data(k))
+    return OrderedPresentation(map(cells.__getitem__, sorted(cells)))
 
 
 def _presentation_subgroup(blocks) -> set[Permutation]:
@@ -316,6 +325,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     j_blocks, kappa, _ = j_data
     k_blocks, nu, _ = k_data
     r = len(kappa)
+    size = r * len(nu)
     if parabolic:
         j_subgroup = _presentation_subgroup(j_blocks)
         k_sets = [set(b) for b in k_blocks]
@@ -334,7 +344,8 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
             intersect(j_graph.image_under(xinv), k_graph))
         cells = _cells(x, j_data, k_data)
         try:
-            predicted = OrderedPresentation(c for c in cells if c)
+            predicted = OrderedPresentation(
+                map(cells.__getitem__, sorted(cells)))
         except ValueError as exc:
             fail(x, "presentation", f"prediction rejected: {exc}")
         else:
@@ -342,7 +353,10 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                 fail(x, "presentation",
                      f"predicted {predicted.to_text()} "
                      f"but components are {computed.to_text()}")
-        table = MarginMatrix(_cell_counts(cells, r), check=False)
+        counts = [0] * size
+        for key, cell in cells.items():
+            counts[key] = len(cell)
+        table = _table(counts, r)
         word = table.reading_word()
         if computed.block_sizes() != word:
             fail(x, "reading-word",

@@ -194,6 +194,29 @@ def test_enumerate_tables_order(nu, kappa):
     assert flat == sorted(flat, reverse=True)
 
 
+def test_row_fillings_cache_is_shared_bounded_and_read_only():
+    # one bounded cache serves every walk, and its entries are tuples, so
+    # no caller can change what the next call reads
+    assert backend._row_fillings.cache_info().maxsize == 4096
+    fills = backend._row_fillings(3, (2, 2))
+    assert type(fills) is tuple
+    assert all(type(f) is tuple for f in fills)
+    pairs = [(nu, kappa) for n in range(1, 6)
+             for nu in descents.all_compositions(n)
+             for kappa in descents.all_compositions(n)]
+    cold = []
+    for nu, kappa in pairs:
+        backend._row_fillings.cache_clear()
+        cold.append(backend.enumerate_tables(nu, kappa))
+    backend._row_fillings.cache_clear()
+    for nu, kappa in pairs:  # fill the cache from every pair
+        backend.enumerate_tables(nu, kappa)
+    misses = backend._row_fillings.cache_info().misses
+    warm = [backend.enumerate_tables(nu, kappa) for nu, kappa in pairs]
+    assert warm == cold
+    assert backend._row_fillings.cache_info().misses == misses
+
+
 def test_enumerate_tables_margin_validation():
     with pytest.raises(ValueError):
         backend.enumerate_tables((2, 1), (4,))

@@ -107,6 +107,15 @@ def test_value_tuple_types_derive_their_sizes_and_keep_messages():
          r"^matrix shape does not match margins$"),
         (lambda: MarginMatrix([[0, 1], [0, 1]]),
          r"^parts must be positive integers: \(0, 2\)$"),
+        # the entries are checked before the margins read from them
+        (lambda: MarginMatrix([[-1, 2]]),
+         r"^entries must be non-negative integers$"),
+        (lambda: MarginMatrix([[1.5, 0.5]]),
+         r"^entries must be non-negative integers$"),
+        (lambda: OrderedPresentation([[True], [2, 3]]),
+         r"^blocks must partition 1\.\.3$"),
+        (lambda: OrderedPresentation([[1.0], [2, 3]]),
+         r"^blocks must partition 1\.\.3$"),
     ]:
         with pytest.raises(ValueError, match=message):
             make()
@@ -139,6 +148,10 @@ def test_subset_from_text():
     with pytest.raises(ValueError, match=r"^generator index True outside "
                                          r"1\.\.2$"):
         GeneratorSubset(3, [True])
+    for degree in (3.0, True):
+        with pytest.raises(ValueError,
+                           match=rf"^degree must be an integer: {degree}$"):
+            GeneratorSubset(degree, [1])
 
 
 def test_subset_composition_round_trip():
@@ -198,6 +211,13 @@ def test_graph_rejects_bad_edges():
         SubsetGraph(3, [(1, 4)])
     with pytest.raises(ValueError):
         SubsetGraph(3, [(2, 2)])
+    # a bool or float equal to a vertex is not one
+    with pytest.raises(ValueError, match=r"^edge \(True,2\) outside 1\.\.3$"):
+        SubsetGraph(3, [(True, 2)])
+    with pytest.raises(ValueError, match=r"^edge \(1,2\.0\) outside 1\.\.3$"):
+        SubsetGraph(3, [(1, 2.0)])
+    with pytest.raises(ValueError, match=r"^degree must be an integer: 3\.0$"):
+        SubsetGraph(3.0, [(1, 2)])
     # orientation of the pair does not matter
     assert SubsetGraph(3, [(3, 1)]) == SubsetGraph(3, [(1, 3)])
 
@@ -224,6 +244,18 @@ def test_ordered_presentation_validation():
         OrderedPresentation([])  # no blocks
     with pytest.raises(ValueError, match="^blocks must be non-empty$"):
         OrderedPresentation([[1], []])  # an empty block
+    # the first block at fault names the fault, as a scan would
+    with pytest.raises(ValueError, match="^blocks must be disjoint$"):
+        OrderedPresentation([[1, 2], [2], []])
+    with pytest.raises(ValueError, match="^blocks must be non-empty$"):
+        OrderedPresentation([[1], [], [1, 2]])
+    # a vertex listed twice in one block is no overlap of two blocks, but
+    # no partition either
+    with pytest.raises(ValueError, match=r"^blocks must partition 1\.\.2$"):
+        OrderedPresentation([[1, 1], [2]])
+    with pytest.raises(ValueError,
+                       match="^blocks must be listed by least element$"):
+        OrderedPresentation([[2, 2], [1]])
 
 
 def test_presentation_of_subset_graph_matches_runs():

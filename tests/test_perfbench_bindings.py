@@ -116,5 +116,9 @@ def test_tracer_sees_one_presentation_per_witness():
         tracer.remove()
     spans = tracer.by_name()
     assert witnesses == 281
+    # the pair and witness layers stay visible too: one span per pair,
+    # and the witnesses the tracer counts from the reports
+    assert spans["cosets.verify_subset_pair"][0] == 64
+    assert tracer.counts["cosets.witnesses"] == 281
     assert spans["cosets.intersection_table"][0] == 281
     assert spans["combinatorics.ordered_presentation"][0] == 281

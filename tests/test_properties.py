@@ -1,13 +1,13 @@
 """Property tests: the reading-word sweep against the table walk, element
 products against their basis products, the algebra laws on random
-elements, and the coset lemma with its table bijection on random subset
-pairs.
+elements, the coset lemma with its table bijection on random subset
+pairs, and the union-find components against a breadth-first search.
 
 The examples come from a fixed seed (``derandomize=True``), so every run
 checks the same cases.
 """
 
-from collections import Counter
+from collections import Counter, deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +16,12 @@ from descents import (
     Composition,
     DescentElement,
     GeneratorSubset,
+    OrderedPresentation,
+    SubsetGraph,
     backend,
     contingency_tables,
     element_multiply,
+    ordered_presentation,
     solomon_multiply,
     subset_to_composition,
     verify_subset_pair,
@@ -55,6 +58,37 @@ def subset_pairs(draw, max_n):
     n = draw(st.integers(1, max_n))
     members = st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
     return GeneratorSubset(n, draw(members)), GeneratorSubset(n, draw(members))
+
+
+@st.composite
+def graphs(draw, max_n):
+    """A degree and a list of edges between any two distinct vertices, in
+    any order and orientation."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(1, n)
+    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(edge, max_size=2 * n)) if n > 1 else []
+
+
+def breadth_first_components(n, edges):
+    """Components of the graph, each a sorted tuple, by least element."""
+    adjacent = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    seen, components = set(), []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = [start], deque([start])
+        while queue:
+            for w in adjacent[queue.popleft()] - seen:
+                seen.add(w)
+                component.append(w)
+                queue.append(w)
+        components.append(tuple(sorted(component)))
+    return tuple(components)
 
 
 @st.composite
@@ -112,3 +146,15 @@ def test_lemma_and_bijection_hold_on_subset_pairs(pair):
     tables = contingency_tables(subset_to_composition(k),
                                 subset_to_composition(j), max_degree=7)
     assert report.witnesses == len(list(tables))
+
+
+@PROPERTY
+@given(graphs(9))
+def test_union_find_roots_give_the_components(graph):
+    # the one-pass roots of the union-find against a breadth-first search;
+    # the unchecked presentation must survive a checked rebuild
+    n, edges = graph
+    presentation = ordered_presentation(SubsetGraph(n, edges))
+    assert presentation == breadth_first_components(n, edges)
+    assert type(presentation) is OrderedPresentation
+    assert OrderedPresentation(presentation) == presentation
