@@ -37,7 +37,6 @@ from .combinatorics import (
     composition_to_subset,
     contingency_tables,
     graph_of_subset,
-    intersect,
     ordered_presentation,
     subset_to_composition,
     to_dot,
@@ -92,7 +91,6 @@ __all__ = [
     "enumerate_left_reps",
     "graph_of_subset",
     "identity_element",
-    "intersect",
     "intersection_table",
     "is_left_rep",
     "left_rep_count",

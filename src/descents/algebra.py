@@ -98,7 +98,8 @@ def identity_element(n: int) -> DescentElement:
 def _solomon(n: int, kappa: Composition, nu: Composition) -> DescentElement:
     counts = backend.reading_word_counts(nu, kappa, n)
     # each word is the non-zero entries of a table: positive parts
-    terms = {Composition(word, check=False): c for word, c in counts.items()}
+    terms = {tuple.__new__(Composition, word): c
+             for word, c in counts.items()}
     return DescentElement(n, terms, check=False)
 
 
@@ -154,7 +155,7 @@ def _descent_classes(n: int) -> tuple[tuple[Permutation, ...], ...]:
         for h in range(n - 1):
             if images[h] > images[h + 1]:
                 d |= 1 << h
-        classes[d].append(Permutation(images, check=False))
+        classes[d].append(tuple.__new__(Permutation, images))
     return tuple(map(tuple, classes))
 
 
@@ -241,7 +242,7 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
         return None
     images = min(z for z in table.keys() | oracle.keys()
                  if table.get(z, 0) != oracle.get(z, 0))
-    return (Permutation(images, check=False), table.get(images, 0),
+    return (tuple.__new__(Permutation, images), table.get(images, 0),
             oracle.get(images, 0))
 
 

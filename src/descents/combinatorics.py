@@ -6,7 +6,9 @@ generator index, and drawn as a graph on vertices ``1..n`` with an edge
 element (the *ordered presentation*) and taking their sizes turns J into a
 composition of n; the correspondence is bijective.  A composition, an
 ordered presentation and a margin matrix are each the ``tuple`` of their
-parts, blocks or rows, equal to that plain tuple and hashed like it.
+parts, blocks or rows, equal to that plain tuple and hashed like it.  Their
+constructors validate; a producer whose items are valid by construction
+builds with ``tuple.__new__(Cls, items)``, which skips the check.
 
 >>> j = GeneratorSubset(9, [2, 3, 7])
 >>> subset_to_composition(j).to_text()
@@ -34,8 +36,8 @@ class Composition(tuple):
     """A tuple of positive integers; ``n`` is their sum.  It equals its
     plain parts tuple and hashes like it, so dict keys compare in C.
 
-    ``check=False`` is for callers whose parts are positive integers by
-    construction; it skips the validation.
+    The constructor validates; parts that are positive integers by
+    construction are built with ``tuple.__new__(Composition, parts)``.
 
     >>> Composition((1, 2)) == (1, 2), Composition((1, 2)).n
     (True, 3)
@@ -43,15 +45,14 @@ class Composition(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, parts: Iterable[int], check: bool = True):
+    def __new__(cls, parts: Iterable[int]):
         self = tuple.__new__(cls, parts)
-        if check:
-            if not self:
-                raise ValueError("a composition needs at least one part")
-            for p in self:
-                if type(p) is not int or p < 1:
-                    raise ValueError(
-                        f"parts must be positive integers: {tuple(self)!r}")
+        if not self:
+            raise ValueError("a composition needs at least one part")
+        for p in self:
+            if type(p) is not int or p < 1:
+                raise ValueError(
+                    f"parts must be positive integers: {tuple(self)!r}")
         return self
 
     @property
@@ -147,7 +148,9 @@ class SubsetGraph:
     under a permutation produce arbitrary edges, which is why components
     are found by union-find rather than by scanning runs.  ``check=False``
     is for callers whose edges are already a frozenset of pairs ``(u, v)``
-    with ``1 <= u < v <= n``; it keeps them as they are.
+    with ``1 <= u < v <= n``; it keeps them as they are.  The flag stays
+    because a slotted class has no C constructor that sets its fields,
+    unlike the tuple value types.
     """
 
     __slots__ = ("n", "edges")
@@ -215,15 +218,13 @@ class OrderedPresentation(tuple):
     The constructor validates rather than normalises the order: blocks must
     partition ``1..n`` and already be sorted by their minima, so a claimed
     presentation in the wrong order is rejected, not silently fixed.
-    ``check=False`` is for callers whose blocks are a sorted partition by
-    construction; it skips the validation and the sorting.
+    Blocks that are a sorted partition by construction are built with
+    ``tuple.__new__(OrderedPresentation, blocks)``, each block a tuple.
     """
 
     __slots__ = ()
 
-    def __new__(cls, blocks: Iterable[Iterable[int]], check: bool = True):
-        if not check:
-            return tuple.__new__(cls, map(tuple, blocks))
+    def __new__(cls, blocks: Iterable[Iterable[int]]):
         self = tuple.__new__(cls, map(tuple, map(sorted, blocks)))
         if not self:
             raise ValueError("presentation needs at least one block")
@@ -272,16 +273,14 @@ class MarginMatrix(tuple):
     plain rows tuple and hashed like it.
 
     Rows sum to ``row_margins`` and columns to ``col_margins``, both read
-    from the rows.  ``MarginMatrix(rows)`` checks the rows; ``check=False``
-    keeps, as given, rows that are by construction a tuple of equal-length
-    non-negative integer tuples with positive margins.
+    from the rows.  ``MarginMatrix(rows)`` checks the rows; rows that are
+    by construction equal-length non-negative integer tuples with positive
+    margins are built with ``tuple.__new__(MarginMatrix, rows)``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, entries: Iterable[Iterable[int]], check: bool = True):
-        if not check:
-            return tuple.__new__(cls, entries)
+    def __new__(cls, entries: Iterable[Iterable[int]]):
         self = tuple.__new__(cls, map(tuple, entries))
         for row in self:
             for v in row:
@@ -307,8 +306,8 @@ class MarginMatrix(tuple):
         >>> MarginMatrix([[0, 1], [2, 0]]).reading_word()
         Composition('1,2')
         """
-        return Composition(filter(None, itertools.chain.from_iterable(self)),
-                           check=False)
+        return tuple.__new__(
+            Composition, filter(None, itertools.chain.from_iterable(self)))
 
     def to_text(self) -> str:
         return "[" + "; ".join(" ".join(map(str, row)) for row in self) + "]"
@@ -363,10 +362,6 @@ def graph_of_subset(j: GeneratorSubset) -> SubsetGraph:
     return SubsetGraph(j.n, ((i, i + 1) for i in j.members))
 
 
-def intersect(g: SubsetGraph, h: SubsetGraph) -> SubsetGraph:
-    return g.intersection(h)
-
-
 def ordered_presentation(g: SubsetGraph) -> OrderedPresentation:
     """Connected components of ``g`` sorted by least element (union-find).
 
@@ -397,7 +392,7 @@ def ordered_presentation(g: SubsetGraph) -> OrderedPresentation:
             groups[v] = [v]
         else:
             groups[root].append(v)
-    return OrderedPresentation(groups.values(), check=False)
+    return tuple.__new__(OrderedPresentation, map(tuple, groups.values()))
 
 
 def to_dot(g: SubsetGraph) -> str:
@@ -434,4 +429,4 @@ def contingency_tables(row_margins: Composition, col_margins: Composition,
         raise degree_mismatch(n, col_margins.n)
     check_degree(n, max_degree, BASIS_DEGREE_MAX)
     for entries in backend.enumerate_tables(row_margins, col_margins):
-        yield MarginMatrix(entries, check=False)
+        yield tuple.__new__(MarginMatrix, entries)

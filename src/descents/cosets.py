@@ -30,7 +30,6 @@ from .combinatorics import (
     OrderedPresentation,
     contingency_tables,
     graph_of_subset,
-    intersect,
     ordered_presentation,
     subset_to_composition,
 )
@@ -76,7 +75,7 @@ def _rep_images(n: int, parts: Composition
               mask: int) -> None:
         if block == last:
             images[start:] = pool
-            out.append((Permutation(images, check=False), mask))
+            out.append((tuple.__new__(Permutation, images), mask))
             return
         size = parts[block]
         pool_bits = sum(1 << v for v in pool)
@@ -161,7 +160,7 @@ def _table(counts: list[int], r: int) -> MarginMatrix:
     """The flat counts ``counts[m * r + q]`` as rows of r, built unchecked:
     the cells split two partitions of ``1..n``, so the margins hold by
     construction."""
-    return MarginMatrix(tuple(zip(*[iter(counts)] * r)), check=False)
+    return tuple.__new__(MarginMatrix, zip(*[iter(counts)] * r))
 
 
 def _check_double_rep(x: Permutation, j: GeneratorSubset,
@@ -221,7 +220,7 @@ def _presentation_subgroup(blocks) -> set[Permutation]:
         for block, perm in zip(blocks, assignment):
             for slot, value in zip(block, perm):
                 images[slot - 1] = value
-        members.add(Permutation(images, check=False))
+        members.add(tuple.__new__(Permutation, images))
     return members
 
 
@@ -341,7 +340,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
         report.witnesses += 1
         xinv = x.inverse()
         computed = ordered_presentation(
-            intersect(j_graph.image_under(xinv), k_graph))
+            j_graph.image_under(xinv).intersection(k_graph))
         cells = _cells(x, j_data, k_data)
         try:
             predicted = OrderedPresentation(

@@ -3,6 +3,10 @@
 Permutations are kept in one-line notation: ``Permutation((3, 1, 2))`` sends
 1 to 3, 2 to 1 and 3 to 2, and equals the tuple ``(3, 1, 2)``.  Composition
 applies the right factor first: ``(x * y)(i) = x(y(i))``.
+``Permutation(images)`` always validates.  A producer whose images are a
+permutation by construction builds with tuple's own constructor instead,
+``tuple.__new__(Permutation, images)``, as ``collections.namedtuple`` does:
+it runs in C.
 
 Elements of the group algebra and of the descent algebra (in ``algebra``)
 are both subclasses of :class:`_IntegerCombination`, which holds their
@@ -55,22 +59,21 @@ class Permutation(tuple):
     """An element of the symmetric group S_n: the tuple of its images.
     It equals its plain images tuple and hashes and orders like it.
 
-    ``check=False`` is for callers whose images are a permutation of
-    ``1..n`` by construction; it skips the validation.
+    The constructor validates.  Images that are a permutation of ``1..n``
+    by construction are built unchecked with
+    ``tuple.__new__(Permutation, images)``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, images: Iterable[int], check: bool = True):
+    def __new__(cls, images: Iterable[int]):
         self = tuple.__new__(cls, images)
-        if check:
-            n = len(self)
-            if n < 1:
-                raise ValueError("degree must be at least 1")
-            if (any(type(v) is not int for v in self)
-                    or sorted(self) != list(range(1, n + 1))):
-                raise ValueError(
-                    f"not a permutation of 1..{n}: {tuple(self)!r}")
+        n = len(self)
+        if n < 1:
+            raise ValueError("degree must be at least 1")
+        if (any(type(v) is not int for v in self)
+                or sorted(self) != list(range(1, n + 1))):
+            raise ValueError(f"not a permutation of 1..{n}: {tuple(self)!r}")
         return self
 
     @property
@@ -81,7 +84,7 @@ class Permutation(tuple):
     def identity(cls, n: int) -> "Permutation":
         if n < 1:
             raise ValueError("degree must be at least 1")
-        return cls(range(1, n + 1), check=False)
+        return tuple.__new__(cls, range(1, n + 1))
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
@@ -118,13 +121,13 @@ class Permutation(tuple):
             return NotImplemented
         if len(self) != len(other):
             raise degree_mismatch(len(self), len(other))
-        return Permutation([self[v - 1] for v in other], check=False)
+        return tuple.__new__(Permutation, [self[v - 1] for v in other])
 
     def inverse(self) -> "Permutation":
         out = [0] * len(self)
         for i, v in enumerate(self, 1):
             out[v - 1] = i
-        return Permutation(out, check=False)
+        return tuple.__new__(Permutation, out)
 
     def length(self) -> int:
         """Coxeter length = number of inversions."""
@@ -146,7 +149,7 @@ def enumerate_group(n: int, max_degree: int | None = None) -> Iterator[Permutati
         raise ValueError("degree must be at least 1")
     check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
     for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images, check=False)
+        yield tuple.__new__(Permutation, images)
 
 
 class _IntegerCombination:
@@ -157,6 +160,8 @@ class _IntegerCombination:
     ``check=False`` adopts ``terms`` uncopied: a fresh dict the caller will
     not change, with ``key_type`` keys of degree n and non-zero in-range
     ``int`` coefficients; the checked build validates, copies, drops zeros.
+    The flag stays because a slotted class has no C constructor that sets
+    its fields, unlike the tuple value types.
     """
 
     __slots__ = ("n", "terms")
@@ -188,16 +193,6 @@ class _IntegerCombination:
 
     def __reduce__(self):
         return type(self), (self.n, self.terms)
-
-    @classmethod
-    def zero(cls, n: int):
-        return cls(n)
-
-    def coefficient(self, key) -> int:
-        return self.terms.get(key, 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def _combine(self, other, sign: int):
         if not isinstance(other, type(self)):
@@ -252,14 +247,6 @@ class GroupAlgebraElement(_IntegerCombination):
     __slots__ = ()
     key_type = Permutation
 
-    @classmethod
-    def from_permutation(cls, perm: Permutation,
-                         coeff: int = 1) -> "GroupAlgebraElement":
-        return cls(perm.n, {perm: coeff})
-
-    def support(self) -> list[Permutation]:
-        return sorted(self.terms)
-
     def _multiply(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return algebra_multiply(self, other)
 
@@ -277,5 +264,5 @@ def algebra_multiply(a: GroupAlgebraElement,
     if a.n != b.n:
         raise degree_mismatch(a.n, b.n)
     raw = backend.convolve(a.n, a.terms.items(), b.terms.items())
-    terms = {Permutation(img, check=False): c for img, c in raw.items()}
+    terms = {tuple.__new__(Permutation, img): c for img, c in raw.items()}
     return GroupAlgebraElement(a.n, terms, check=False)

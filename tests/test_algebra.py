@@ -38,10 +38,10 @@ from _oracles import filter_left_reps, naive_convolve
 def test_basis_element_and_zero():
     b = basis_element(Composition((2, 1)))
     assert b.n == 3
-    assert b.coefficient(Composition((2, 1))) == 1
-    assert b.coefficient(Composition((3,))) == 0
-    assert DescentElement.zero(3).is_zero()
-    assert not b.is_zero()
+    assert b.terms.get(Composition((2, 1)), 0) == 1
+    assert b.terms.get(Composition((3,)), 0) == 0
+    assert not DescentElement(3)
+    assert b
 
 
 def test_identity_element_is_one_part_basis():
@@ -55,7 +55,7 @@ def test_identity_element_is_one_part_basis():
 
 
 def test_element_str_forms():
-    assert str(DescentElement.zero(3)) == "0"
+    assert str(DescentElement(3)) == "0"
     assert str(basis_element(Composition((1, 2)))) == "B(1,2)"
     k, v = Composition((2, 1)), Composition((1, 2))
     assert str(solomon_multiply(k, v)) == "B(1,1,1) + B(1,2)"
@@ -70,7 +70,7 @@ def test_vector_space_operations():
     a = basis_element(Composition((2, 1)))
     b = basis_element(Composition((1, 2)))
     assert a + b == b + a
-    assert a - a == DescentElement.zero(3)
+    assert a - a == DescentElement(3)
     assert 3 * a == a + a + a
     assert (-1) * a == -a
     with pytest.raises(ValueError):
@@ -94,8 +94,8 @@ def test_degree_mismatch_names_both_degrees():
 def test_known_product():
     k, v = Composition((2, 1)), Composition((1, 2))
     prod = solomon_multiply(k, v)
-    assert prod.coefficient(Composition((1, 1, 1))) == 1
-    assert prod.coefficient(Composition((1, 2))) == 1
+    assert prod.terms.get(Composition((1, 1, 1)), 0) == 1
+    assert prod.terms.get(Composition((1, 2)), 0) == 1
     assert len(prod.terms) == 2
 
 
@@ -232,8 +232,8 @@ def reference_mismatch(kappa, nu):
     if table == oracle:
         return None
     perm = min(p for p in table.terms.keys() | oracle.terms.keys()
-               if table.coefficient(p) != oracle.coefficient(p))
-    return perm, table.coefficient(perm), oracle.coefficient(perm)
+               if table.terms.get(p, 0) != oracle.terms.get(p, 0))
+    return perm, table.terms.get(perm, 0), oracle.terms.get(perm, 0)
 
 
 def all_pairs(max_n):
@@ -337,7 +337,7 @@ def test_element_multiply_is_bilinear():
     lhs = element_multiply(a + 2 * b, c)
     rhs = element_multiply(a, c) + 2 * element_multiply(b, c)
     assert lhs == rhs
-    assert element_multiply(DescentElement.zero(3), a).is_zero()
+    assert not element_multiply(DescentElement(3), a)
 
 
 def test_element_multiply_range_ignores_term_order():
@@ -378,8 +378,8 @@ def test_element_contract(cls, keys, other_keys):
     a = cls(2, {x: 0, y: 3})
     # zero coefficients are dropped
     assert a.terms == {y: 3}
-    assert len(a) == 1 and a.coefficient(x) == 0
-    assert (a - a).terms == {} and (a - a).is_zero()
+    assert len(a) == 1 and a.terms.get(x, 0) == 0
+    assert (a - a).terms == {} and not (a - a)
     assert (0 * a).terms == {}
     # immutable
     for name in ("n", "terms", "other"):
@@ -406,8 +406,8 @@ def test_element_contract(cls, keys, other_keys):
         cls(2, {x: 2**63})
     # the two element types never mix
     other = (GroupAlgebraElement if cls is DescentElement
-             else DescentElement).zero(2)
-    assert cls.zero(2) != other and other != cls.zero(2)
+             else DescentElement)(2)
+    assert cls(2) != other and other != cls(2)
     for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
         with pytest.raises(TypeError):
             op(a, other)

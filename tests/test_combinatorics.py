@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+from unittest import mock
 
 import pytest
 
@@ -14,15 +15,25 @@ from descents import (
     OrderedPresentation,
     Permutation,
     SubsetGraph,
+    algebra,
     all_compositions,
     all_generator_subsets,
+    basis_element,
     composition_to_subset,
     contingency_tables,
+    cosets,
+    enumerate_double_set,
+    enumerate_group,
+    enumerate_left_reps,
     graph_of_subset,
-    intersect,
+    intersection_table,
+    oracle_mismatch,
+    oracle_multiply,
     ordered_presentation,
+    solomon_multiply,
     subset_to_composition,
     to_dot,
+    to_group_algebra,
 )
 
 from _oracles import brute_tables
@@ -138,6 +149,74 @@ def test_value_types_copy_and_pickle(value):
         assert repr(clone) == repr(value)
 
 
+def _pairs(items):
+    return itertools.product(items, items)
+
+
+def _tables(n):
+    return [z for kappa, nu in _pairs(all_compositions(n))
+            for z in contingency_tables(nu, kappa)]
+
+
+def _mismatch_images(n):
+    # with the table product emptied, the verdict's permutation is built
+    # from the raw convolution's plain image tuples
+    with mock.patch.object(algebra, "solomon_multiply",
+                           lambda kappa, nu, max_degree: DescentElement(n)):
+        return [oracle_mismatch(kappa, nu)[0]
+                for kappa, nu in _pairs(all_compositions(n))]
+
+
+# Every producer that builds a tuple value type unchecked, with
+# ``tuple.__new__``, and the values it returns at degree n.
+TRUSTED_BUILDS = {
+    "Permutation.identity": (Permutation,
+                             lambda n: [Permutation.identity(n)]),
+    "Permutation.__mul__": (Permutation, lambda n: [
+        x * y for x, y in _pairs(list(enumerate_group(n)))]),
+    "Permutation.inverse": (Permutation, lambda n: [
+        x.inverse() for x in enumerate_group(n)]),
+    "enumerate_group": (Permutation, lambda n: list(enumerate_group(n))),
+    "algebra_multiply": (Permutation, lambda n: [
+        x for kappa, nu in _pairs(all_compositions(n))
+        for x in oracle_multiply(kappa, nu).terms]),
+    "MarginMatrix.reading_word": (Composition, lambda n: [
+        z.reading_word() for z in _tables(n)]),
+    "ordered_presentation": (OrderedPresentation, lambda n: [
+        ordered_presentation(graph_of_subset(j).image_under(x))
+        for j in all_generator_subsets(n) for x in enumerate_group(n)]),
+    "contingency_tables": (MarginMatrix, _tables),
+    "enumerate_left_reps": (Permutation, lambda n: [
+        x for k in all_generator_subsets(n) for x in enumerate_left_reps(k)]),
+    "intersection_table": (MarginMatrix, lambda n: [
+        intersection_table(x, j, k)
+        for j, k in _pairs(all_generator_subsets(n))
+        for x in enumerate_double_set(j, k)]),
+    "cosets._presentation_subgroup": (Permutation, lambda n: [
+        w for j in all_generator_subsets(n)
+        for w in cosets._presentation_subgroup(
+            ordered_presentation(graph_of_subset(j)))]),
+    "solomon_multiply": (Composition, lambda n: [
+        eta for kappa, nu in _pairs(all_compositions(n))
+        for eta in solomon_multiply(kappa, nu).terms]),
+    "to_group_algebra": (Permutation, lambda n: [
+        x for kappa in all_compositions(n)
+        for x in to_group_algebra(basis_element(kappa)).terms]),
+    "oracle_mismatch": (Permutation, _mismatch_images),
+}
+
+
+@pytest.mark.parametrize("cls, build", TRUSTED_BUILDS.values(),
+                         ids=TRUSTED_BUILDS.keys())
+def test_trusted_builds_give_their_type_and_pass_the_check(cls, build):
+    # a plain tuple would compare equal, so the type is asserted too
+    for n in range(1, 6):
+        values = build(n)
+        assert values
+        for v in values:
+            assert type(v) is cls and cls(v) == v, v
+
+
 def test_subset_from_text():
     assert GeneratorSubset.from_text(5, "").members == frozenset()
     assert GeneratorSubset.from_text(5, "2,4").members == frozenset({2, 4})
@@ -203,7 +282,7 @@ def test_graph_image_and_intersection():
     g = SubsetGraph(4, [(1, 2), (3, 4)])
     assert g.image_under(x).sorted_edges() == [(1, 3), (2, 4)]
     h = SubsetGraph(4, [(1, 3), (1, 2)])
-    assert intersect(g.image_under(x), h).sorted_edges() == [(1, 3)]
+    assert g.image_under(x).intersection(h).sorted_edges() == [(1, 3)]
 
 
 def test_graph_rejects_bad_edges():
@@ -351,7 +430,7 @@ def test_unchecked_graphs_match_validated_rebuild():
                 image = g.image_under(x)
                 assert image == SubsetGraph(n, image.edges)
                 for k in all_generator_subsets(n):
-                    both = intersect(image, graph_of_subset(k))
+                    both = image.intersection(graph_of_subset(k))
                     assert both == SubsetGraph(n, both.edges)
                     assert both.edges == image.edges & graph_of_subset(k).edges
 

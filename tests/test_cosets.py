@@ -11,12 +11,12 @@ from descents import (
     MarginMatrix,
     OrderedPresentation,
     Permutation,
+    SubsetGraph,
     all_generator_subsets,
     contingency_tables,
     enumerate_double_set,
     enumerate_left_reps,
     graph_of_subset,
-    intersect,
     intersection_table,
     is_left_rep,
     ordered_presentation,
@@ -34,7 +34,7 @@ def test_is_left_rep_matches_filter():
         for k in all_generator_subsets(n):
             want = set(filter_left_reps(n, k.members))
             got = {p for p in group
-                   if is_left_rep(Permutation(p, check=False), k)}
+                   if is_left_rep(Permutation(p), k)}
             assert got == want
 
 
@@ -93,7 +93,7 @@ def test_double_set_matches_filter():
             for k in all_generator_subsets(n):
                 want = []
                 for p in filter_left_reps(n, k.members):
-                    x = Permutation(p, check=False)
+                    x = Permutation(p)
                     if all(x.inverse()[h - 1] < x.inverse()[h] for h in jm):
                         want.append(p)
                 got = list(enumerate_double_set(j, k))
@@ -121,7 +121,7 @@ def test_degree_mismatch_names_every_degree():
             (lambda: intersection_table(x, j, k), "3 vs 3 vs 4"),
             (lambda: verify_subset_pair(j, k), "3 vs 4"),
             (lambda: graph_of_subset(k).image_under(x), "3 vs 4"),
-            (lambda: intersect(graph_of_subset(j), graph_of_subset(k)),
+            (lambda: graph_of_subset(j).intersection(graph_of_subset(k)),
              "3 vs 4")):
         with pytest.raises(ValueError, match=f"^degree mismatch: {text}$"):
             call()
@@ -184,8 +184,8 @@ def test_intersection_graph_presentations_pass_validation():
             for k in all_generator_subsets(n):
                 for x in enumerate_double_set(j, k):
                     p = ordered_presentation(
-                        intersect(graph_of_subset(j).image_under(x.inverse()),
-                                  graph_of_subset(k)))
+                        graph_of_subset(j).image_under(x.inverse())
+                        .intersection(graph_of_subset(k)))
                     rebuilt = OrderedPresentation(p)
                     assert rebuilt == p
                     assert rebuilt.n == p.n == n
@@ -234,8 +234,8 @@ def test_predicted_presentation_matches_graph_components():
             for x in enumerate_double_set(j, k):
                 predicted = predicted_presentation(x, j, k)
                 computed = ordered_presentation(
-                    intersect(graph_of_subset(j).image_under(x.inverse()),
-                              graph_of_subset(k)))
+                    graph_of_subset(j).image_under(x.inverse())
+                    .intersection(graph_of_subset(k)))
                 assert predicted == computed
 
 
@@ -293,7 +293,7 @@ def test_verify_pair_report_text_and_record():
 def test_verify_pair_collects_failures(monkeypatch):
     # force wrong components to exercise the failure plumbing: the
     # "intersection graph" is graph K itself, whatever x is
-    monkeypatch.setattr(descents.cosets, "intersect", lambda g, h: h)
+    monkeypatch.setattr(SubsetGraph, "intersection", lambda g, h: h)
     j = GeneratorSubset(4, {})
     k = GeneratorSubset(4, {2})
     report = verify_subset_pair(j, k, max_failures=5)

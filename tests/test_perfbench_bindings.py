@@ -36,8 +36,8 @@ def test_tracer_sees_element_products():
     tracer = tracer_module.Tracer()
     a = basis_element(Composition((2, 1))) + basis_element(Composition((3,)))
     b = 2 * basis_element(Composition((1, 2)))
-    g = GroupAlgebraElement.from_permutation(Permutation((2, 1, 3)), 2)
-    h = GroupAlgebraElement.from_permutation(Permutation((1, 3, 2)), -1)
+    g = GroupAlgebraElement(3, {Permutation((2, 1, 3)): 2})
+    h = GroupAlgebraElement(3, {Permutation((1, 3, 2)): -1})
     tracer_module.install(tracer)
     try:
         a * b
