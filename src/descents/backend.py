@@ -9,9 +9,10 @@ column sums left, so every call takes them from one bounded cache keyed
 on that pair, :func:`_merged_row`.  The counting identity re-weights a
 product's terms with :func:`sum_reading_multinomials` and sweeps nothing
 itself.
-:func:`enumerate_tables` is the only walk over single tables, for callers
-that need the tables; its row fillings, keyed on the same pair, come from
-a second bounded cache of 4 096 entries, :func:`_row_fillings`.
+:func:`enumerate_tables` is the only code that lists single tables, for
+callers that need them.  It extends a list of partial tables a row at a
+time, and its row fillings, keyed on the same pair, come from a second
+bounded cache of 4 096 entries, :func:`_row_fillings`.
 
 Conventions:
 
@@ -133,31 +134,23 @@ def enumerate_tables(row_margins, col_margins):
     """All non-negative integer matrices with the given margins.
 
     Emitted in row-major lexicographic order with the largest entries
-    first; callers and tests rely on that order.  The walk fills one row
-    at a time.  A row's fillings depend only on its sum and the column
-    sums left, so they come from one bounded cache shared by every call,
-    :func:`_row_fillings`; the last row is forced: it is the column sums
-    left.
+    first; callers and tests rely on that order.  The tables grow one row
+    at a time, as a list of (rows so far, column sums left) pairs, each
+    extended in order by every filling of the next row.  A row's fillings
+    depend only on its sum and the column sums left, so they come from
+    one bounded cache shared by every call, :func:`_row_fillings`.  The
+    last row is forced: it is the column sums left.  Every partial table
+    completes, so no list is longer than the answer.
 
     >>> enumerate_tables((2, 1), (1, 2))
     [((1, 1), (0, 1)), ((0, 2), (1, 0))]
     """
     _check_margins(row_margins, col_margins)
-    last = len(row_margins) - 1
-    prefix = []
-    out = []
-
-    def walk(i, cols):
-        if i == last:
-            out.append((*prefix, cols))
-            return
-        for row, rest in _row_fillings(row_margins[i], cols):
-            prefix.append(row)
-            walk(i + 1, rest)
-            prefix.pop()
-
-    walk(0, tuple(col_margins))
-    return out
+    partial = [((), tuple(col_margins))]
+    for total in row_margins[:-1]:
+        partial = [(rows + (row,), rest) for rows, cols in partial
+                   for row, rest in _row_fillings(total, cols)]
+    return [(*rows, cols) for rows, cols in partial]
 
 
 # One entry per (row sum, column sums left).  The products of degree n

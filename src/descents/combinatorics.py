@@ -421,8 +421,8 @@ def contingency_tables(row_margins: Composition, col_margins: Composition,
 
     The count can reach n!, so the degree is capped at
     :data:`~descents.perms.BASIS_DEGREE_MAX` unless ``max_degree`` raises
-    the bound.  The tables are built unchecked: the walk meets the margins
-    by construction, and the tests pin it against brute-force
+    the bound.  The tables are built unchecked: ``enumerate_tables`` meets
+    the margins by construction, and the tests pin it against brute-force
     enumeration."""
     n = row_margins.n
     if n != col_margins.n:

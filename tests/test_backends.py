@@ -195,7 +195,7 @@ def test_enumerate_tables_order(nu, kappa):
 
 
 def test_row_fillings_cache_is_shared_bounded_and_read_only():
-    # one bounded cache serves every walk, and its entries are tuples, so
+    # one bounded cache serves every call, and its entries are tuples, so
     # no caller can change what the next call reads
     assert backend._row_fillings.cache_info().maxsize == 4096
     fills = backend._row_fillings(3, (2, 2))
@@ -215,6 +215,23 @@ def test_row_fillings_cache_is_shared_bounded_and_read_only():
     warm = [backend.enumerate_tables(nu, kappa) for nu, kappa in pairs]
     assert warm == cold
     assert backend._row_fillings.cache_info().misses == misses
+
+
+def test_enumerate_tables_lists_each_table_once_in_decreasing_order():
+    # one test over every ordered composition pair with n <= 6: the tables
+    # read row-major are strictly decreasing, so none repeats
+    pairs = 0
+    for n in range(1, 7):
+        comps = descents.all_compositions(n)
+        for nu in comps:
+            for kappa in comps:
+                tables = backend.enumerate_tables(nu, kappa)
+                flat = [tuple(itertools.chain.from_iterable(t))
+                        for t in tables]
+                assert len(set(tables)) == len(tables), (nu, kappa)
+                assert all(a > b for a, b in zip(flat, flat[1:])), (nu, kappa)
+                pairs += 1
+    assert pairs == 1365
 
 
 def test_enumerate_tables_margin_validation():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import descents
 import descents.cli as cli
 import descents.cosets
 
@@ -159,8 +160,21 @@ def test_multiply_degree_error_names_cli_option(capsys):
         assert "max_degree" not in err
 
 
-def test_verify_all_skips_parabolic_above_five(capsys):
+def test_verify_all_skips_parabolic_above_five(capsys, monkeypatch):
+    # the n=6 oracle sweep itself is tests/test_acceptance.py::
+    # test_oracle_equivalence; here a recorder stands in for it, and the
+    # lemma scope runs for real
+    seen = []
+
+    def agrees(kappa, nu, max_degree=None):
+        seen.append((kappa, nu))
+        return True
+
+    monkeypatch.setattr(cli, "oracle_agrees", agrees)
     rc, out, _ = run_cli(capsys, "verify", "6", "--all")
+    comps = descents.all_compositions(6)
+    assert sorted(seen) == sorted((k, nu) for k in comps for nu in comps)
+    assert len(seen) == 1024
     assert rc == 0
     assert "parabolic: SKIP (reason=n>5)" in out
     assert out.endswith("overall: PASS\n")

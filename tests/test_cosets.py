@@ -349,3 +349,56 @@ def test_verify_pair_bijection_names_repeated_table(monkeypatch):
     assert repeated[0].x_text == "213"
     assert "[1 1; 0 1]" in repeated[0].detail
     assert "123" in repeated[0].detail
+
+
+def _patch_cells(monkeypatch, fault):
+    real = descents.cosets._cells
+
+    def faulty(images, j_data, k_data):
+        return fault(real(images, j_data, k_data))
+
+    monkeypatch.setattr(descents.cosets, "_cells", faulty)
+
+
+def test_verify_pair_names_a_prediction_out_of_order(monkeypatch):
+    # swapping the lists of a witness's first two cells lists a block
+    # before one with a smaller least element, which the checked
+    # constructor rejects
+    def swap_first_two(cells):
+        if len(cells) >= 2:
+            a, b = sorted(cells)[:2]
+            cells[a], cells[b] = cells[b], cells[a]
+        return cells
+
+    _patch_cells(monkeypatch, swap_first_two)
+    j = GeneratorSubset(4, {2})
+    k = GeneratorSubset(4, {1, 3})
+    report = verify_subset_pair(j, k, parabolic=False)
+    presentation = [(f.x_text, f.detail) for f in report.failures
+                    if f.check == "presentation"]
+    rejected = "prediction rejected: blocks must be listed by least element"
+    assert presentation == [(x, rejected)
+                            for x in ("1234", "1423", "2314", "2413")]
+    assert f"  x=1234 [presentation] {rejected}" in report.to_text()
+
+
+def test_verify_pair_names_a_wrong_prediction(monkeypatch):
+    # one block holding every position is a presentation, but not the
+    # components of the intersection graph
+    def merge_all(cells):
+        return {min(cells): [p for key in sorted(cells) for p in cells[key]]}
+
+    _patch_cells(monkeypatch, merge_all)
+    j = GeneratorSubset(4, {2})
+    k = GeneratorSubset(4, {1, 3})
+    report = verify_subset_pair(j, k, parabolic=False, max_failures=20)
+    presentation = [(f.x_text, f.detail) for f in report.failures
+                    if f.check == "presentation"]
+    assert presentation == [
+        ("1234", "predicted ({1,2,3,4}) but components are ({1},{2},{3},{4})"),
+        ("1423", "predicted ({1,2,3,4}) but components are ({1},{2},{3,4})"),
+        ("2314", "predicted ({1,2,3,4}) but components are ({1,2},{3},{4})"),
+        ("2413", "predicted ({1,2,3,4}) but components are ({1},{2},{3},{4})"),
+    ]
+    assert ("  x=1423 [presentation] predicted ({1,2,3,4}) "
+            "but components are ({1},{2},{3,4})") in report.to_text()
