@@ -93,14 +93,12 @@ def cmd_multiply(args) -> int:
         if oracle_ok is not None:
             record["oracle"] = "PASS" if oracle_ok else "FAIL"
         _emit_json(record)
-    elif args.format == "text":
+    else:
         for m in matrices:
             print(f"{m.to_text()} -> {m.reading_word().to_text()}")
         print(str(product))
         if oracle_ok is not None:
             print(f"oracle check: {'PASS' if oracle_ok else 'FAIL'}")
-    else:
-        raise ValueError(f"multiply does not support --format {args.format}")
     return 0 if oracle_ok in (None, True) else 1
 
 
@@ -185,15 +183,13 @@ def cmd_verify(args) -> int:
                 for scope, passed, stats in results],
             "overall": "PASS" if ok else "FAIL",
         })
-    elif args.format == "text":
+    else:
         for scope, passed, stats in results:
             status = ("SKIP" if passed is None
                       else "PASS" if passed else "FAIL")
             detail = ", ".join(f"{k}={v}" for k, v in stats.items())
             print(f"{scope}: {status} ({detail})")
         print(f"overall: {'PASS' if ok else 'FAIL'}")
-    else:
-        raise ValueError(f"verify does not support --format {args.format}")
     return 0 if ok else 1
 
 
@@ -204,11 +200,9 @@ def cmd_table(args) -> int:
         write_structure_csv(rows, sys.stdout)
     elif args.format == "structured":
         _emit_json(structure_records(args.n, rows))
-    elif args.format == "text":
+    else:
         for kappa, nu, product in rows:
             print(f"B({kappa.to_text()}) * B({nu.to_text()}) = {product}")
-    else:
-        raise ValueError(f"table does not support --format {args.format}")
     return 0
 
 
@@ -303,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: n must be at least 1", file=sys.stderr)
         return 2
     try:
+        if args.command in ("multiply", "verify") and args.format == "csv":
+            raise ValueError(f"{args.command} does not support --format csv")
         return args.func(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -257,9 +257,6 @@ class OrderedPresentation(tuple):
     def n(self) -> int:
         return sum(map(len, self))
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(map(len, self))
-
     def to_text(self) -> str:
         inner = ",".join("{" + ",".join(map(str, b)) + "}" for b in self)
         return f"({inner})"

@@ -7,8 +7,9 @@ whose inverse lies in ``X_J`` meets both conditions at once; these double
 representatives are counted by margin matrices via block intersections.
 Each representative of ``X_K`` is stored with the descent set of its
 inverse, so the double set is ``X_K`` filtered by one bitmask test.  Each
-subset caches the index of the block that holds every vertex, so one pass
+subset caches its blocks and the block index of every vertex, so one pass
 over a representative's images places each position in its intersection.
+A witness's intersection graph is the graph of ``x^{-1} J x & K``, cached.
 
 >>> from .combinatorics import GeneratorSubset
 >>> k = GeneratorSubset(3, [2])
@@ -98,15 +99,24 @@ def _subset_data(j: GeneratorSubset) -> tuple[tuple[tuple[int, ...], ...],
     ``where``: ``where[v]`` is the index of the block that holds vertex v
     (``where[0]`` is unused).
 
-    1024 entries hold the 2^(n-1) subsets of any one degree through
-    n=11.  ``ordered_presentation`` is read from this module, so a wrapper
-    placed there sees each miss."""
+    A witness's meet (:func:`_meet`) has J's degree, so 1024 entries hold
+    every subset of one degree through n=11.  ``ordered_presentation`` is
+    read from this module, so a wrapper placed there sees each miss."""
     blocks = ordered_presentation(graph_of_subset(j))
     where = [-1] * (j.n + 1)
     for q, block in enumerate(blocks):
         for v in block:
             where[v] = q
     return blocks, subset_to_composition(j), tuple(where)
+
+
+def _meet(x: Permutation, j: GeneratorSubset,
+          k: GeneratorSubset) -> GeneratorSubset:
+    """``x^{-1} J x & K``: the i in K whose edge ``{i, i+1}`` x maps onto
+    an edge of graph J, for any x; its graph is x^{-1}(graph J) & graph K."""
+    return GeneratorSubset(k.n, [i for i in k.members
+                                 if abs(x[i] - x[i - 1]) == 1
+                                 and min(x[i - 1], x[i]) in j.members])
 
 
 def enumerate_left_reps(k: GeneratorSubset,
@@ -290,15 +300,15 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     sizes).
 
     * ``presentation`` - the predicted presentation equals the ordered
-      presentation of the intersection graph ``x^{-1}(graph J) & graph K``,
-      computed independently by union-find.  That presentation always
-      passes the checked :class:`OrderedPresentation` constructor, so the
-      prediction is compared with it as a plain tuple of blocks, and only
-      a prediction that differs is built checked: the failure reads
-      ``prediction rejected: ...`` when it is no presentation, and
-      ``predicted ... but components are ...`` when it is another one;
-    * ``reading-word`` - the block sizes of that computed presentation
-      equal the reading word of the intersection table of x;
+      presentation of the intersection graph ``x^{-1}(graph J) & graph K``:
+      the cached blocks of the subset ``x^{-1} J x & K`` (:func:`_meet`).
+      They always pass the checked :class:`OrderedPresentation`
+      constructor, so the prediction is compared with them as a plain
+      tuple, and only a prediction that differs is built checked: the
+      failure reads ``prediction rejected: ...`` when it is no
+      presentation, and ``predicted ... but components are ...`` otherwise;
+    * ``reading-word`` - that subset's composition equals the reading
+      word of the intersection table of x;
     * ``bijection`` - no two witnesses share a table, and the tables hit
       are exactly the margin matrices of the pair: each repeated, missing
       or foreign table is one failure naming it (x ``-`` when no witness
@@ -323,8 +333,6 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     report = PairReport(n, j.sorted_members(), k.sorted_members(),
                         tuple(checks))
 
-    j_graph = graph_of_subset(j)
-    k_graph = graph_of_subset(k)
     j_data, k_data = _subset_data(j), _subset_data(k)
     j_blocks, kappa, _ = j_data
     k_blocks, nu, _ = k_data
@@ -343,9 +351,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     hit: dict[MarginMatrix, Permutation] = {}
     for x in enumerate_double_set(j, k, max_degree=max_degree):
         report.witnesses += 1
-        xinv = x.inverse()
-        computed = ordered_presentation(
-            j_graph.image_under(xinv).intersection(k_graph))
+        computed, sizes, _ = _subset_data(_meet(x, j, k))
         cells = _cells(x, j_data, k_data)
         predicted = tuple(map(tuple, map(cells.__getitem__, sorted(cells))))
         # a prediction equal to computed passes the check as computed does;
@@ -365,9 +371,9 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
             counts[key] = len(cell)
         table = _table(counts, r)
         word = table.reading_word()
-        if computed.block_sizes() != word:
+        if sizes != word:
             fail(x, "reading-word",
-                 f"component sizes {computed.block_sizes()} "
+                 f"component sizes {tuple(sizes)} "
                  f"!= reading word {tuple(word)}")
         if table in hit:
             fail(x, "bijection", f"table {table.to_text()} "
@@ -375,6 +381,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
         else:
             hit[table] = x
         if parabolic:
+            xinv = x.inverse()
             conjugated = set()
             for w in j_subgroup:
                 wc = xinv * w * x

@@ -74,6 +74,24 @@ def test_multiply_csv_unsupported(capsys):
     assert "does not support" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["multiply", "7", "1,1,1,1,1,1,1", "1,1,1,1,1,1,1", "--oracle"],
+    ["verify", "6"],
+])
+def test_csv_rejected_before_any_work(capsys, monkeypatch, argv):
+    # neither command writes csv, so it computes nothing before saying so
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before rejecting --format csv")
+
+    for name in ("solomon_multiply", "contingency_tables", "oracle_agrees",
+                 "_verify_pair_scope", "_verify_oracle_scope"):
+        monkeypatch.setattr(cli, name, no_work)
+    rc, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {argv[0]} does not support --format csv\n"
+
+
 def test_multiply_over_bound_needs_max_n(capsys):
     rc, _, err = run_cli(capsys, "multiply", "8", "8", "8", "--oracle")
     assert rc == 2

@@ -11,7 +11,6 @@ from descents import (
     MarginMatrix,
     OrderedPresentation,
     Permutation,
-    SubsetGraph,
     all_generator_subsets,
     contingency_tables,
     enumerate_double_set,
@@ -191,6 +190,23 @@ def test_intersection_graph_presentations_pass_validation():
                     assert rebuilt.n == p.n == n
 
 
+def test_meet_graph_is_the_intersection_graph():
+    # x^{-1} J x & K read from x's adjacent values, for every permutation x,
+    # not only the double representatives: its graph is the intersection
+    # graph built by relabelling and intersecting edge sets
+    meet = descents.cosets._meet
+    for n in range(1, 6):
+        subsets = all_generator_subsets(n)
+        graphs = {j: graph_of_subset(j) for j in subsets}
+        for p in itertools.permutations(range(1, n + 1)):
+            x = Permutation(p)
+            pulled = {j: graphs[j].image_under(x.inverse()) for j in subsets}
+            for j in subsets:
+                for k in subsets:
+                    assert (graph_of_subset(meet(x, j, k))
+                            == pulled[j].intersection(graphs[k]))
+
+
 def test_intersection_table_small_example():
     # n=3, J={2} (components {1},{2,3}), K={1} (components {1,2},{3});
     # worked by hand: the double set is {123, 231} and the two tables are
@@ -293,7 +309,7 @@ def test_verify_pair_report_text_and_record():
 def test_verify_pair_collects_failures(monkeypatch):
     # force wrong components to exercise the failure plumbing: the
     # "intersection graph" is graph K itself, whatever x is
-    monkeypatch.setattr(SubsetGraph, "intersection", lambda g, h: h)
+    monkeypatch.setattr(descents.cosets, "_meet", lambda x, j, k: k)
     j = GeneratorSubset(4, {})
     k = GeneratorSubset(4, {2})
     report = verify_subset_pair(j, k, max_failures=5)
@@ -349,6 +365,28 @@ def test_verify_pair_bijection_names_repeated_table(monkeypatch):
     assert repeated[0].x_text == "213"
     assert "[1 1; 0 1]" in repeated[0].detail
     assert "123" in repeated[0].detail
+
+
+def test_verify_pair_names_a_wrong_reading_word(monkeypatch):
+    # tables read with their rows reversed: the witness 231's table
+    # [1 0; 0 2] reads 1,2 against its components' sizes 2,1, and neither
+    # table is a margin matrix of the pair
+    real = descents.cosets._table
+    monkeypatch.setattr(
+        descents.cosets, "_table",
+        lambda counts, r: MarginMatrix(reversed(real(counts, r))))
+    report = verify_subset_pair(GeneratorSubset(3, {2}),
+                                GeneratorSubset(3, {1}))
+    foreign = "is not a margin matrix of the pair"
+    assert report.to_text().splitlines() == [
+        "FAIL n=3 J={2} K={1} witnesses=2",
+        "  failures: 5",
+        "  x=231 [reading-word] component sizes (2, 1) != reading word (1, 2)",
+        f"  x=123 [bijection] table [0 1; 1 1] {foreign}",
+        f"  x=231 [bijection] table [1 0; 0 2] {foreign}",
+        "  x=- [bijection] no witness hits table [1 1; 0 1]",
+        "  x=- [bijection] no witness hits table [0 2; 1 0]",
+    ]
 
 
 def _patch_cells(monkeypatch, fault):

@@ -90,9 +90,10 @@ def test_tracer_sees_one_sweep_per_checked_product():
     assert tracer.counts["algebra.product_lookups"] == 2
 
 
-def test_tracer_sees_one_presentation_per_witness():
-    # with the subset blocks cached, the lemma op's only union-find runs
-    # are the intersection graphs, one per witness: 281 at n=4
+def test_tracer_sees_one_presentation_per_subset():
+    # each witness's intersection graph is the graph of a generator subset,
+    # read from the subset cache: a cold n=4 pass runs union-find once for
+    # each of the 8 subsets and never per witness (281 of them)
     tracer_module = load_tracer()
     subsets = all_generator_subsets(4)
 
@@ -108,6 +109,7 @@ def test_tracer_sees_one_presentation_per_witness():
         return witnesses
 
     lemma_pass()
+    cosets._subset_data.cache_clear()
     tracer = tracer_module.Tracer()
     tracer_module.install(tracer)
     try:
@@ -121,4 +123,4 @@ def test_tracer_sees_one_presentation_per_witness():
     assert spans["cosets.verify_subset_pair"][0] == 64
     assert tracer.counts["cosets.witnesses"] == 281
     assert spans["cosets.intersection_table"][0] == 281
-    assert spans["combinatorics.ordered_presentation"][0] == 281
+    assert spans["combinatorics.ordered_presentation"][0] == len(subsets) == 8
