@@ -97,6 +97,8 @@ def identity_element(n: int) -> DescentElement:
 @lru_cache(maxsize=4096)
 def _solomon(n: int, kappa: Composition, nu: Composition) -> DescentElement:
     counts = backend.reading_word_counts(nu, kappa, n)
+    # the counts are exact and positive: range-check the largest
+    check_coefficient(max(counts.values(), default=0))
     # each word is the non-zero entries of a table: positive parts
     terms = {tuple.__new__(Composition, word): c
              for word, c in counts.items()}

@@ -3,10 +3,11 @@
 :func:`convolve` composes permutations as ``bytes.translate`` calls and
 tallies them with :class:`collections.Counter`, so the work per term pair
 runs in C.  A basis product needs only how many margin tables have each
-reading word, which one memoised row sweep, :func:`reading_word_counts`,
-tallies.  A row's merged fillings depend only on the row sum and the
-column sums left, so every call takes them from one bounded cache keyed
-on that pair, :func:`_merged_row`.  The counting identity re-weights a
+reading word, which :func:`reading_word_counts` tallies in one forward
+pass over the rows, as counts of states (column sums left, word so far).
+A row's merged fillings depend only on the row sum and the column sums
+left, so every call takes them from one bounded cache keyed on that
+pair, :func:`_merged_row`.  The counting identity re-weights a
 product's terms with :func:`sum_reading_multinomials` and sweeps nothing
 itself.
 :func:`enumerate_tables` is the only code that lists single tables, for
@@ -21,7 +22,9 @@ Conventions:
   row by row: the parts of a composition of ``n``;
 * every input coefficient and every result must lie within signed 64-bit
   range, and leaving it raises ``OverflowError`` rather than wrapping;
-  sums on the way are exact integers and are not checked.
+  sums on the way are exact integers and are not checked.  The table
+  sweeps' counts are exact and unchecked too: a basis product checks its
+  coefficients once, in ``algebra._solomon``.
 """
 
 from __future__ import annotations
@@ -189,13 +192,13 @@ def reading_word_counts(row_margins, col_margins, n):
     product: the table shapes are forgotten, only their reading words are
     tallied.
 
-    The sweep fills one row at a time, memoised for the call on the row
-    index and the column sums left, in column order with emptied columns
-    dropped.  The words that rows ``i`` onwards read do not depend on the
-    path to that state, so each is appended to the word of every filling
-    that leads there.  A row's merged fillings depend only on its sum and
-    the column sums left, so they come from one bounded cache shared by
-    every call.
+    The sweep walks forward a row at a time over states (column sums
+    left, word so far), each with the number of partial tables that reach
+    it; columns are kept in order with emptied ones dropped.  Each row
+    replaces the states with their extensions by the row's merged
+    fillings, which depend only on its sum and the column sums left, so
+    they come from one bounded cache shared by every call.  After the last
+    row every column is empty, and each state is one word.
 
     >>> sorted(reading_word_counts((1, 2), (2, 1), 3).items())
     [((1, 1, 1), 1), ((1, 2), 1)]
@@ -203,20 +206,15 @@ def reading_word_counts(row_margins, col_margins, n):
     _check_margins(row_margins, col_margins)
     if sum(row_margins) != n:
         raise ValueError("margins must be margins of compositions of n")
-    memo = {}
-
-    def sweep(i, cols):
-        if (i, cols) not in memo:
-            counts = {}
-            for rest, word, k in _merged_row(row_margins[i], cols):
-                # an empty rest means row i was the last one
-                for tail, m in (sweep(i + 1, rest).items() if rest
-                                else (((), 1),)):
-                    counts[word + tail] = counts.get(word + tail, 0) + k * m
-            memo[i, cols] = counts
-        return memo[i, cols]
-
-    return sweep(0, tuple(col_margins))
+    states = {(tuple(col_margins), ()): 1}
+    for total in row_margins:
+        merged = {}
+        for (cols, word), k in states.items():
+            for rest, tail, m in _merged_row(total, cols):
+                key = (rest, word + tail)
+                merged[key] = merged.get(key, 0) + k * m
+        states = merged
+    return {word: k for (_, word), k in states.items()}
 
 
 def sum_reading_multinomials(terms, n):

@@ -67,13 +67,12 @@ def cmd_multiply(args) -> int:
 
     oracle_ok = None
     if args.oracle:
-        limit = ORACLE_DEGREE_DEFAULT
-        if args.max_n is not None and args.max_n > limit:
-            limit = args.max_n
-            if args.n > ORACLE_DEGREE_DEFAULT:
-                _warn_bound("oracle", args.n, ORACLE_DEGREE_DEFAULT)
-        check_degree(args.n, limit, ORACLE_DEGREE_DEFAULT, option="--max-n")
-        oracle_ok = oracle_agrees(kappa, nu, max_degree=limit)
+        # the product's check has run: --max-n is absent or at least n
+        if args.n > ORACLE_DEGREE_DEFAULT:
+            check_degree(args.n, args.max_n, ORACLE_DEGREE_DEFAULT,
+                         option="--max-n")
+            _warn_bound("oracle", args.n, ORACLE_DEGREE_DEFAULT)
+        oracle_ok = oracle_agrees(kappa, nu, max_degree=args.n)
 
     if args.format == "structured":
         record = {

@@ -146,54 +146,42 @@ class SubsetGraph:
 
     Graphs of generator subsets only have edges ``{i, i+1}``, but images
     under a permutation produce arbitrary edges, which is why components
-    are found by union-find rather than by scanning runs.  ``check=False``
-    is for callers whose edges are already a frozenset of pairs ``(u, v)``
-    with ``1 <= u < v <= n``; it keeps them as they are.  The flag stays
-    because a slotted class has no C constructor that sets its fields,
-    unlike the tuple value types.
+    are found by union-find rather than by scanning runs.  The constructor
+    validates and stores each edge as a pair ``(u, v)`` with ``u < v``.
     """
 
     __slots__ = ("n", "edges")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 check: bool = True):
-        if check:
-            _check_subset_degree(n)
-            norm = set()
-            for u, v in edges:
-                if u == v:
-                    raise ValueError(f"loop edge at {u}")
-                if not (type(u) is int and type(v) is int
-                        and 1 <= u <= n and 1 <= v <= n):
-                    raise ValueError(f"edge ({u},{v}) outside 1..{n}")
-                norm.add((u, v) if u < v else (v, u))
-            edges = frozenset(norm)
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        _check_subset_degree(n)
+        norm = set()
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"loop edge at {u}")
+            if not (type(u) is int and type(v) is int
+                    and 1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge ({u},{v}) outside 1..{n}")
+            norm.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", frozenset(norm))
 
     def __setattr__(self, name, value):
         raise AttributeError("SubsetGraph is immutable")
 
     def __reduce__(self):
-        return type(self), (self.n, self.edges, False)
+        return type(self), (self.n, self.edges)
 
     def image_under(self, x: Permutation) -> "SubsetGraph":
-        """Relabel every vertex v as x(v).
-
-        A permutation maps an edge to two distinct vertices of ``1..n``,
-        so the image is built unchecked once each pair is ordered."""
+        """Relabel every vertex v as x(v)."""
         if x.n != self.n:
             raise degree_mismatch(x.n, self.n)
-        edges = set()
-        for u, v in self.edges:
-            a, b = x[u - 1], x[v - 1]
-            edges.add((a, b) if a < b else (b, a))
-        return SubsetGraph(self.n, frozenset(edges), check=False)
+        return SubsetGraph(self.n, ((x[u - 1], x[v - 1])
+                                    for u, v in self.edges))
 
     def intersection(self, other: "SubsetGraph") -> "SubsetGraph":
         if self.n != other.n:
             raise degree_mismatch(self.n, other.n)
-        return SubsetGraph(self.n, self.edges & other.edges, check=False)
+        return SubsetGraph(self.n, self.edges & other.edges)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

@@ -358,6 +358,16 @@ def test_element_multiply_result_overflow():
         element_multiply(2**62 * b, b)
 
 
+def test_basis_product_range_checks_its_coefficients():
+    # B(1^n) * B(1^n) = n! B(1^n): 20! fits in int64, 21! does not
+    ones = Composition((1,) * 20)
+    assert (solomon_multiply(ones, ones, max_degree=20).terms
+            == {ones: math.factorial(20)})
+    ones = Composition((1,) * 21)
+    with pytest.raises(OverflowError):
+        solomon_multiply(ones, ones, max_degree=21)
+
+
 def _descent_keys(n):
     return Composition((n,)), Composition((1,) * n)
 

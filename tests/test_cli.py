@@ -106,6 +106,15 @@ def test_multiply_max_n_override_warns(capsys):
     assert "warning: degree 8 is above the default oracle bound (7)" in err
 
 
+def test_multiply_coefficient_overflow_is_an_error(capsys):
+    ones = ",".join(["1"] * 21)
+    rc, out, err = run_cli(capsys, "multiply", "21", ones, ones,
+                           "--max-n", "21")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: coefficient exceeds signed 64-bit range\n"
+
+
 def test_verify_all_text(capsys):
     rc, out, _ = run_cli(capsys, "verify", "3", "--all")
     assert rc == 0

@@ -419,8 +419,8 @@ def test_contingency_tables_degree_bound():
 
 
 def test_unchecked_graphs_match_validated_rebuild():
-    # image_under and intersection build their graphs unchecked; each must
-    # equal a validating rebuild from its edges
+    # each graph that image_under and intersection build must equal a
+    # validating rebuild from its edges
     for n in range(1, 6):
         group = [Permutation(p) for p in
                  itertools.permutations(range(1, n + 1))]
