@@ -168,13 +168,8 @@ def _expand(a: DescentElement) -> dict[Permutation, int]:
     set: one range-checked weight per descent class, spread over the
     class's cached permutations.  The caller has checked the degree.
     """
-    masks = []
-    for comp, coeff in a.terms.items():
-        required = composition_to_subset(comp).members
-        m = 0
-        for i in required:
-            m |= 1 << (i - 1)
-        masks.append((m, coeff))
+    masks = [(composition_to_subset(comp).mask, coeff)
+             for comp, coeff in a.terms.items()]
     terms: dict[tuple[int, ...], int] = {}
     for d, members in enumerate(_descent_classes(a.n)):
         w = 0

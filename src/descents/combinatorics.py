@@ -89,19 +89,30 @@ def _check_subset_degree(n: int) -> None:
 
 
 class GeneratorSubset:
-    """A subset of the generator indices ``1..n-1`` for a fixed degree n."""
+    """A subset of the generator indices ``1..n-1`` for a fixed degree n.
 
-    __slots__ = ("n", "members")
+    ``mask`` has bit ``i-1`` set for each member i, the convention of every
+    descent mask in the package; a subset equals and hashes as its
+    ``(n, mask)``.
+
+    >>> GeneratorSubset(4, [1, 3]).mask
+    5
+    """
+
+    __slots__ = ("n", "members", "mask")
 
     def __init__(self, n: int, members: Iterable[int] = ()):
         _check_subset_degree(n)
         members = frozenset(members)
+        mask = 0
         for m in members:
             if type(m) is not int or not 1 <= m <= n - 1:
                 raise ValueError(
                     f"generator index {m!r} outside 1..{n - 1}")
+            mask |= 1 << (m - 1)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "mask", mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorSubset is immutable")
@@ -132,10 +143,10 @@ class GeneratorSubset:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GeneratorSubset)
-                and self.n == other.n and self.members == other.members)
+                and self.n == other.n and self.mask == other.mask)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.members))
+        return hash((self.n, self.mask))
 
     def __repr__(self) -> str:
         return f"GeneratorSubset({self.n}, {{{self.to_text()}}})"

@@ -5,11 +5,14 @@ of the cosets of the standard parabolic subgroup is cut out by the ascent
 test ``x(h) < x(h+1)`` for every h in K.  A permutation lying in ``X_K``
 whose inverse lies in ``X_J`` meets both conditions at once; these double
 representatives are counted by margin matrices via block intersections.
-Each representative of ``X_K`` is stored with the descent set of its
-inverse, so the double set is ``X_K`` filtered by one bitmask test.  Each
-subset caches its blocks and the block index of every vertex, so one pass
+Subsets are read as their masks (``GeneratorSubset.mask``, bit i-1 for
+generator i), and so are descent sets.  Each representative of ``X_K`` is
+stored with the descent mask of its inverse, so the double set is ``X_K``
+filtered by one test against J's mask.  Each subset's blocks and the block
+index of every vertex are cached under its degree and mask, so one pass
 over a representative's images places each position in its intersection.
-A witness's intersection graph is the graph of ``x^{-1} J x & K``, cached.
+A witness's intersection graph is the graph of ``x^{-1} J x & K``, whose
+mask is read from x's adjacent values and looked up in the same cache.
 
 >>> from .combinatorics import GeneratorSubset
 >>> k = GeneratorSubset(3, [2])
@@ -93,30 +96,39 @@ def _rep_images(n: int, parts: Composition
 
 
 @lru_cache(maxsize=1024)
-def _subset_data(j: GeneratorSubset) -> tuple[tuple[tuple[int, ...], ...],
-                                              Composition, tuple[int, ...]]:
-    """The ordered-presentation blocks of J's graph, J's composition, and
+def _subset_data(n: int, mask: int) -> tuple[tuple[tuple[int, ...], ...],
+                                             Composition, tuple[int, ...]]:
+    """For the subset J of degree n with ``J.mask == mask``: the
+    ordered-presentation blocks of J's graph, J's composition, and
     ``where``: ``where[v]`` is the index of the block that holds vertex v
     (``where[0]`` is unused).
 
-    A witness's meet (:func:`_meet`) has J's degree, so 1024 entries hold
-    every subset of one degree through n=11.  ``ordered_presentation`` is
+    Keyed on the two ints, so a hit hashes in C and no caller builds a
+    subset; 1024 entries hold every subset of one degree through n=11, a
+    witness's meet (:func:`_meet`) among them.  ``ordered_presentation`` is
     read from this module, so a wrapper placed there sees each miss."""
+    j = GeneratorSubset(n, [i for i in range(1, n) if mask >> (i - 1) & 1])
     blocks = ordered_presentation(graph_of_subset(j))
-    where = [-1] * (j.n + 1)
+    where = [-1] * (n + 1)
     for q, block in enumerate(blocks):
         for v in block:
             where[v] = q
     return blocks, subset_to_composition(j), tuple(where)
 
 
-def _meet(x: Permutation, j: GeneratorSubset,
-          k: GeneratorSubset) -> GeneratorSubset:
-    """``x^{-1} J x & K``: the i in K whose edge ``{i, i+1}`` x maps onto
-    an edge of graph J, for any x; its graph is x^{-1}(graph J) & graph K."""
-    return GeneratorSubset(k.n, [i for i in k.members
-                                 if abs(x[i] - x[i - 1]) == 1
-                                 and min(x[i - 1], x[i]) in j.members])
+def _meet(x: Permutation, j: GeneratorSubset, k: GeneratorSubset) -> int:
+    """The mask of ``x^{-1} J x & K``: the i in K whose edge ``{i, i+1}`` x
+    maps onto an edge ``{a, a+1}`` of graph J, for any x; its graph is
+    x^{-1}(graph J) & graph K."""
+    j_mask = j.mask
+    meet = 0
+    for i in k.members:
+        a = x[i - 1]
+        b = x[i]
+        if ((b - a == 1 and j_mask >> (a - 1) & 1)
+                or (a - b == 1 and j_mask >> (b - 1) & 1)):
+            meet |= 1 << (i - 1)
+    return meet
 
 
 def enumerate_left_reps(k: GeneratorSubset,
@@ -141,7 +153,7 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
     if j.n != k.n:
         raise degree_mismatch(j.n, k.n)
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
-    j_mask = sum(1 << (h - 1) for h in j.members)
+    j_mask = j.mask
     for x, mask in _rep_images(k.n, subset_to_composition(k)):
         if not mask & j_mask:
             yield x
@@ -178,9 +190,21 @@ def _check_double_rep(x: Permutation, j: GeneratorSubset,
     """Raise unless x is a double representative of the pair."""
     if x.n != j.n or j.n != k.n:
         raise degree_mismatch(x.n, j.n, k.n)
-    # x^{-1} ascends at h when the value h stands before h + 1
-    if not (is_left_rep(x, k) and all(x.index(h) < x.index(h + 1)
-                                      for h in j.members)):
+    # one pass over the images, v = x(p+1): x descends at p when
+    # x(p) > x(p+1), and x^{-1} descends at v-1 when v stands before v-1,
+    # that is when v-1 is not yet read (``seen`` has bit v for each value
+    # v read, and bit 0); both masks set bit h-1 for a descent at h
+    descents = inverse_descents = 0
+    seen = 1
+    prev = 0
+    for p, v in enumerate(x):
+        if prev > v:
+            descents |= 1 << (p - 1)
+        if not seen >> (v - 1) & 1:
+            inverse_descents |= 1 << (v - 2)
+        seen |= 1 << v
+        prev = v
+    if descents & k.mask or inverse_descents & j.mask:
         raise ValueError(
             f"{x.to_text()} is not a double representative for the given pair")
 
@@ -199,8 +223,8 @@ def intersection_table(x: Permutation, j: GeneratorSubset,
     no list of positions.
     """
     _check_double_rep(x, j, k)
-    j_blocks, _, j_where = _subset_data(j)
-    k_blocks, _, k_where = _subset_data(k)
+    j_blocks, _, j_where = _subset_data(j.n, j.mask)
+    k_blocks, _, k_where = _subset_data(k.n, k.mask)
     r = len(j_blocks)
     counts = [0] * (r * len(k_blocks))
     for p, v in enumerate(x, 1):
@@ -216,7 +240,7 @@ def predicted_presentation(x: Permutation, j: GeneratorSubset,
     least-element order; the presentation is validated, so a list out of
     that order is rejected."""
     _check_double_rep(x, j, k)
-    cells = _cells(x, _subset_data(j), _subset_data(k))
+    cells = _cells(x, _subset_data(j.n, j.mask), _subset_data(k.n, k.mask))
     return OrderedPresentation(map(cells.__getitem__, sorted(cells)))
 
 
@@ -333,7 +357,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     report = PairReport(n, j.sorted_members(), k.sorted_members(),
                         tuple(checks))
 
-    j_data, k_data = _subset_data(j), _subset_data(k)
+    j_data, k_data = _subset_data(n, j.mask), _subset_data(n, k.mask)
     j_blocks, kappa, _ = j_data
     k_blocks, nu, _ = k_data
     r = len(kappa)
@@ -351,7 +375,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     hit: dict[MarginMatrix, Permutation] = {}
     for x in enumerate_double_set(j, k, max_degree=max_degree):
         report.witnesses += 1
-        computed, sizes, _ = _subset_data(_meet(x, j, k))
+        computed, sizes, _ = _subset_data(n, _meet(x, j, k))
         cells = _cells(x, j_data, k_data)
         predicted = tuple(map(tuple, map(cells.__getitem__, sorted(cells))))
         # a prediction equal to computed passes the check as computed does;

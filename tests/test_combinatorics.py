@@ -233,6 +233,39 @@ def test_subset_from_text():
             GeneratorSubset(degree, [1])
 
 
+def test_subset_mask_is_its_members_bits():
+    # bit i-1 for generator i, the convention of every descent mask
+    for n in range(1, 8):
+        subsets = all_generator_subsets(n)
+        assert len({j.mask for j in subsets}) == len(subsets)
+        for j in subsets:
+            assert j.mask == sum(1 << (i - 1) for i in j.members)
+            twin = GeneratorSubset(n, sorted(j.members))
+            assert twin == j and hash(twin) == hash(j)
+            assert twin.mask == j.mask
+            for clone in (pickle.loads(pickle.dumps(j)), copy.copy(j),
+                          copy.deepcopy(j)):
+                assert clone.mask == j.mask and clone == j
+            # the degree is part of the value: the same bits one degree up
+            # make a different subset
+            assert GeneratorSubset(n + 1, j.members) != j
+            assert GeneratorSubset(n + 1, j.members).mask == j.mask
+
+
+def test_subset_mask_meets_inverse_descents_off_x_j():
+    # x^{-1} lies in X_J (no descent in J) exactly when its descent mask,
+    # found by brute force, misses J's mask
+    for n in range(1, 6):
+        group = list(itertools.permutations(range(1, n + 1)))
+        for j in all_generator_subsets(n):
+            for images in group:
+                inverse = tuple(images.index(v) + 1 for v in range(1, n + 1))
+                descents = sum(1 << (h - 1) for h in range(1, n)
+                               if inverse[h - 1] > inverse[h])
+                in_x_j = all(inverse[h - 1] < inverse[h] for h in j.members)
+                assert (descents & j.mask == 0) == in_x_j
+
+
 def test_subset_composition_round_trip():
     for n in range(1, 8):
         for j in all_generator_subsets(n):

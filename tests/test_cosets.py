@@ -191,9 +191,10 @@ def test_intersection_graph_presentations_pass_validation():
 
 
 def test_meet_graph_is_the_intersection_graph():
-    # x^{-1} J x & K read from x's adjacent values, for every permutation x,
-    # not only the double representatives: its graph is the intersection
-    # graph built by relabelling and intersecting edge sets
+    # the mask of x^{-1} J x & K read from x's adjacent values, for every
+    # permutation x, not only the double representatives: the graph of
+    # the subset with those bits is the intersection graph built by
+    # relabelling and intersecting edge sets
     meet = descents.cosets._meet
     for n in range(1, 6):
         subsets = all_generator_subsets(n)
@@ -203,7 +204,10 @@ def test_meet_graph_is_the_intersection_graph():
             pulled = {j: graphs[j].image_under(x.inverse()) for j in subsets}
             for j in subsets:
                 for k in subsets:
-                    assert (graph_of_subset(meet(x, j, k))
+                    bits = meet(x, j, k)
+                    subset = GeneratorSubset(
+                        n, [i for i in range(1, n) if bits >> (i - 1) & 1])
+                    assert (graph_of_subset(subset)
                             == pulled[j].intersection(graphs[k]))
 
 
@@ -236,8 +240,33 @@ def test_intersection_table_bijective_onto_margin_matrices():
 def test_intersection_table_rejects_non_representative():
     j = GeneratorSubset(3, {2})
     k = GeneratorSubset(3, {1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^321 is not a double "
+                                         r"representative for the given pair$"):
         intersection_table(Permutation((3, 2, 1)), j, k)
+    with pytest.raises(ValueError, match=r"^degree mismatch: 2 vs 3 vs 3$"):
+        intersection_table(Permutation((2, 1)), j, k)
+
+
+def test_intersection_table_rejects_exactly_the_non_representatives():
+    # the check runs on descent masks; the double set it must accept is
+    # the stream's, for every permutation and subset pair with n <= 5
+    for n in range(1, 6):
+        subsets = all_generator_subsets(n)
+        group = [Permutation(p)
+                 for p in itertools.permutations(range(1, n + 1))]
+        for j in subsets:
+            for k in subsets:
+                double = set(enumerate_double_set(j, k))
+                for x in group:
+                    try:
+                        intersection_table(x, j, k)
+                    except ValueError as exc:
+                        assert x not in double
+                        assert str(exc) == (
+                            f"{x.to_text()} is not a double representative"
+                            " for the given pair")
+                    else:
+                        assert x in double
 
 
 def test_predicted_presentation_matches_graph_components():
@@ -309,7 +338,7 @@ def test_verify_pair_report_text_and_record():
 def test_verify_pair_collects_failures(monkeypatch):
     # force wrong components to exercise the failure plumbing: the
     # "intersection graph" is graph K itself, whatever x is
-    monkeypatch.setattr(descents.cosets, "_meet", lambda x, j, k: k)
+    monkeypatch.setattr(descents.cosets, "_meet", lambda x, j, k: k.mask)
     j = GeneratorSubset(4, {})
     k = GeneratorSubset(4, {2})
     report = verify_subset_pair(j, k, max_failures=5)
