@@ -20,7 +20,6 @@ builds with ``tuple.__new__(Cls, items)``, which skips the check.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from . import backend
@@ -227,28 +226,23 @@ class OrderedPresentation(tuple):
         self = tuple.__new__(cls, map(tuple, map(sorted, blocks)))
         if not self:
             raise ValueError("presentation needs at least one block")
-        # Each check runs in C.  Two blocks overlap when their union is
-        # smaller than their vertex sets' sizes summed; as in a scan, only
-        # an overlap ahead of the first empty block is reported first.
-        if () in self:
-            head = self[:self.index(())]
-            if len(set().union(*head)) != sum(map(len, map(set, head))):
+        seen = set()
+        for block in self:
+            if not block:
+                raise ValueError("blocks must be non-empty")
+            if not seen.isdisjoint(block):
                 raise ValueError("blocks must be disjoint")
-            raise ValueError("blocks must be non-empty")
-        seen = set().union(*self)
+            seen.update(block)
         n = len(seen)
-        total = sum(map(len, self))
-        if n != total and n != sum(map(len, map(set, self))):
-            raise ValueError("blocks must be disjoint")
         # n distinct ints from 1 to n are 1..n; a bool or float equal to a
         # vertex is not one
         if (not {int}.issuperset(map(type, seen))
                 or min(seen) != 1 or max(seen) != n):
             raise ValueError(f"blocks must partition 1..{n}")
-        mins = list(map(itemgetter(0), self))
+        mins = [block[0] for block in self]
         if mins != sorted(mins):
             raise ValueError("blocks must be listed by least element")
-        if n != total:  # a vertex listed twice in one block
+        if n != sum(map(len, self)):  # a vertex listed twice in one block
             raise ValueError(f"blocks must partition 1..{n}")
         return self
 

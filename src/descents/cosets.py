@@ -6,8 +6,9 @@ test ``x(h) < x(h+1)`` for every h in K.  A permutation lying in ``X_K``
 whose inverse lies in ``X_J`` meets both conditions at once; these double
 representatives are counted by margin matrices via block intersections.
 Subsets are read as their masks (``GeneratorSubset.mask``, bit i-1 for
-generator i), and so are descent sets.  Each representative of ``X_K`` is
-stored with the descent mask of its inverse, so the double set is ``X_K``
+generator i), and so are descent sets.  ``X_K`` is listed by a forward
+walk over K's blocks of positions, and each representative is stored
+with the descent mask of its inverse, so the double set is ``X_K``
 filtered by one test against J's mask.  Each subset's blocks and the block
 index of every vertex are cached under its degree and mask, so one pass
 over a representative's images places each position in its intersection.
@@ -47,6 +48,8 @@ from .perms import (
 #: Default degree caps for the exhaustive verification sweeps.
 LEMMA_DEGREE_DEFAULT = 6
 PARABOLIC_DEGREE_DEFAULT = 5
+#: Failures listed in a :class:`PairReport`; ``failure_count`` counts all.
+MAX_FAILURES = 10
 
 
 def is_left_rep(x: Permutation, k: GeneratorSubset) -> bool:
@@ -61,38 +64,30 @@ def is_left_rep(x: Permutation, k: GeneratorSubset) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _rep_images(n: int, parts: Composition
-                ) -> tuple[tuple[Permutation, int], ...]:
-    # Choose which values land in each consecutive block of positions; a
-    # block reads its values in increasing order, and the last block takes
-    # the values left.  Lexicographic output.
-    # Next to each representative x goes the descent mask of x^{-1}: bit
-    # h-1 is set when h+1 comes before h in the images, that is when h+1
-    # lands in an earlier block than h.  A block adds the bits of its
-    # values v whose v-1 is left for later blocks.  256 entries hold every
-    # composition through n=7.
-    out: list[tuple[Permutation, int]] = []
-    images = [0] * n
-    last = len(parts) - 1
-
-    def place(block: int, start: int, pool: tuple[int, ...],
-              mask: int) -> None:
-        if block == last:
-            images[start:] = pool
-            out.append((tuple.__new__(Permutation, images), mask))
-            return
-        size = parts[block]
-        pool_bits = sum(1 << v for v in pool)
-        for chosen in itertools.combinations(pool, size):
-            images[start:start + size] = chosen
-            bits = sum(1 << v for v in chosen)
-            later = pool_bits - bits
-            place(block + 1, start + size,
-                  tuple(v for v in pool if not bits >> v & 1),
-                  mask | (bits & later << 1) >> 2)
-
-    place(0, 0, tuple(range(1, n + 1)), 0)
-    return tuple(out)
+def _rep_images(n: int, mask: int) -> tuple[tuple[Permutation, int], ...]:
+    # X_K for the subset K of degree n with this mask, in lexicographic
+    # order, walked forward a block of positions at a time: each block but
+    # the last reads the values it chooses from those left in increasing
+    # order, and the last block takes the rest.  Next to each x goes the
+    # descent mask of x^{-1}: bit h-1 is set when h+1 lands in an earlier
+    # block than h, so a block adds the bits of its values v whose v-1 is
+    # left for later blocks.  256 entries hold every composition through
+    # n=8 (255 of them).  A state is (images so far, values left, bit v for
+    # each value v left, x^{-1}'s descent mask so far).
+    parts = _subset_data(n, mask)[1]
+    states = [((), tuple(range(1, n + 1)), (1 << n + 1) - 2, 0)]
+    for size in parts[:-1]:
+        grown = []
+        for images, pool, pool_bits, inv in states:
+            for chosen in itertools.combinations(pool, size):
+                bits = sum(1 << v for v in chosen)
+                left = pool_bits - bits
+                grown.append((images + chosen,
+                              tuple(v for v in pool if left >> v & 1),
+                              left, inv | (bits & left << 1) >> 2))
+        states = grown
+    return tuple((tuple.__new__(Permutation, images + pool), inv)
+                 for images, pool, _, inv in states)
 
 
 @lru_cache(maxsize=1024)
@@ -140,7 +135,7 @@ def enumerate_left_reps(k: GeneratorSubset,
     factorials of the component sizes.
     """
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
-    for x, _ in _rep_images(k.n, subset_to_composition(k)):
+    for x, _ in _rep_images(k.n, k.mask):
         yield x
 
 
@@ -154,7 +149,7 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
         raise degree_mismatch(j.n, k.n)
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
     j_mask = j.mask
-    for x, mask in _rep_images(k.n, subset_to_composition(k)):
+    for x, mask in _rep_images(k.n, k.mask):
         if not mask & j_mask:
             yield x
 
@@ -314,7 +309,6 @@ class PairReport:
 
 def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                        parabolic: bool | None = None,
-                       max_failures: int = 10,
                        max_degree: int | None = None) -> PairReport:
     """Check every double representative of a pair against four claims.
 
@@ -341,8 +335,8 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
       subgroup of J by x and intersecting with the Young subgroup of K
       yields exactly the Young subgroup of the intersection graph.
 
-    Failures are collected up to ``max_failures`` instead of stopping at
-    the first; ``failure_count`` still counts them all.
+    Failures are collected up to :data:`MAX_FAILURES` instead of stopping
+    at the first; ``failure_count`` still counts them all.
     """
     if j.n != k.n:
         raise degree_mismatch(j.n, k.n)
@@ -364,11 +358,11 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     size = r * len(nu)
     if parabolic:
         j_subgroup = _presentation_subgroup(j_blocks)
-        k_sets = [set(b) for b in k_blocks]
+        k_subgroup = _presentation_subgroup(k_blocks)
 
     def fail(x: Permutation | None, check: str, detail: str) -> None:
         report.failure_count += 1
-        if len(report.failures) < max_failures:
+        if len(report.failures) < MAX_FAILURES:
             x_text = "-" if x is None else x.to_text()
             report.failures.append(PairFailure(x_text, check, detail))
 
@@ -406,11 +400,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
             hit[table] = x
         if parabolic:
             xinv = x.inverse()
-            conjugated = set()
-            for w in j_subgroup:
-                wc = xinv * w * x
-                if all({wc[v - 1] for v in b} == b for b in k_sets):
-                    conjugated.add(wc)
+            conjugated = {xinv * w * x for w in j_subgroup} & k_subgroup
             expected = _presentation_subgroup(computed)
             if conjugated != expected:
                 fail(x, "parabolic",

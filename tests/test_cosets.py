@@ -85,6 +85,26 @@ def test_rep_images_cache_is_bounded():
     assert info.currsize <= info.maxsize
 
 
+def test_rep_images_meet_their_definitions():
+    # X_K from the cache, read against the definitions: strictly
+    # increasing, each a left representative, as many as the multinomial,
+    # and each stored with the descent mask of its inverse
+    for n in range(1, 7):
+        for k in all_generator_subsets(n):
+            reps = descents.cosets._rep_images(n, k.mask)
+            images = [x for x, _ in reps]
+            assert all(a < b for a, b in zip(images, images[1:]))
+            assert all(is_left_rep(x, k) for x in images)
+            want = math.factorial(n)
+            for p in subset_to_composition(k):
+                want //= math.factorial(p)
+            assert len(reps) == want
+            for x, mask in reps:
+                y = x.inverse()
+                assert mask == sum(1 << (h - 1) for h in range(1, n)
+                                   if y[h - 1] > y[h])
+
+
 def test_double_set_matches_filter():
     for n in range(1, 6):
         for j in all_generator_subsets(n):
@@ -341,11 +361,11 @@ def test_verify_pair_collects_failures(monkeypatch):
     monkeypatch.setattr(descents.cosets, "_meet", lambda x, j, k: k.mask)
     j = GeneratorSubset(4, {})
     k = GeneratorSubset(4, {2})
-    report = verify_subset_pair(j, k, max_failures=5)
+    report = verify_subset_pair(j, k)
     assert not report.passed
     assert report.witnesses == 12
-    assert report.failure_count > 5
-    assert len(report.failures) == 5
+    assert report.failure_count == 36
+    assert len(report.failures) == descents.cosets.MAX_FAILURES == 10
     assert report.failures[0].check in ("presentation", "reading-word")
     text = report.to_text()
     assert text.startswith("FAIL")
@@ -418,6 +438,21 @@ def test_verify_pair_names_a_wrong_reading_word(monkeypatch):
     ]
 
 
+def test_verify_pair_names_a_wrong_conjugate(monkeypatch):
+    # with x^{-1} read as x, x W_J x^{-1} meets W_K where x^{-1} W_J x
+    # should: only the parabolic check sees it, on 136 witnesses at n=4
+    monkeypatch.setattr(Permutation, "inverse", lambda self: self)
+    reports = [verify_subset_pair(j, k, parabolic=True)
+               for j in all_generator_subsets(4)
+               for k in all_generator_subsets(4)]
+    assert sum(r.failure_count for r in reports) == 136
+    assert {f.check for r in reports for f in r.failures} == {"parabolic"}
+    empty = reports[0]
+    assert empty.j_members == empty.k_members == ()
+    assert ("  x=1342 [parabolic] conjugated intersection has 0 elements, "
+            "Young subgroup has 1") in empty.to_text().splitlines()
+
+
 def _patch_cells(monkeypatch, fault):
     real = descents.cosets._cells
 
@@ -458,7 +493,7 @@ def test_verify_pair_names_a_wrong_prediction(monkeypatch):
     _patch_cells(monkeypatch, merge_all)
     j = GeneratorSubset(4, {2})
     k = GeneratorSubset(4, {1, 3})
-    report = verify_subset_pair(j, k, parabolic=False, max_failures=20)
+    report = verify_subset_pair(j, k, parabolic=False)
     presentation = [(f.x_text, f.detail) for f in report.failures
                     if f.check == "presentation"]
     assert presentation == [
