@@ -1,15 +1,15 @@
 """The hot kernels: group-algebra convolution and the margin-table sweeps.
 
-:func:`convolve` composes permutations as ``bytes.translate`` calls and
-tallies them with :class:`collections.Counter`, so the work per term pair
-runs in C.  A basis product needs only how many margin tables have each
-reading word, which :func:`reading_word_counts` tallies in one forward
-pass over the rows, as counts of states (column sums left, word so far).
-A row's merged fillings depend only on the row sum and the column sums
-left, so every call takes them from one bounded cache keyed on that
-pair, :func:`_merged_row`.  The counting identity re-weights a
-product's terms with :func:`sum_reading_multinomials` and sweeps nothing
-itself.
+:func:`convolve` composes a left term with all of one coefficient's right
+terms in one ``bytes.translate`` of their joined words and cuts the products
+apart with one ``split``, so the work per term pair runs in C.  A basis
+product needs only how many margin tables have each reading word, which
+:func:`reading_word_counts` tallies in one forward pass over the rows, as
+counts of states (column sums left, word so far).  A row's merged fillings
+depend only on the row sum and the column sums left, so every call takes
+them from one bounded cache keyed on that pair, :func:`_merged_row`.  The
+counting identity re-weights a product's terms with
+:func:`sum_reading_multinomials` and sweeps nothing itself.
 :func:`enumerate_tables` is the only code that lists single tables, for
 callers that need them.  It extends a list of partial tables a row at a
 time, and its row fillings, keyed on the same pair, come from a second
@@ -68,40 +68,39 @@ def convolve(n, a_items, b_items):
     images ``x*y`` (right factor first) to accumulated coefficients, zeros
     dropped.
 
-    Each left term ``x`` is encoded once as a 256-byte translation table
-    and each right term ``y`` once as ``bytes(y)``, so that
-    ``y.translate(table)`` is ``x*y``.  Terms are grouped by coefficient,
-    and each pair of coefficients tallies its compositions in one
-    :class:`~collections.Counter`: the cost is ``len(a_items) *
-    len(b_items)`` translates, plus one Counter and one pass over its
-    distinct images per coefficient pair.  Every input coefficient and
-    every result coefficient must lie in signed 64-bit range, else
-    ``OverflowError``; the sums in between are exact, so the outcome does
-    not depend on the order of the terms.
+    Terms are grouped by coefficient.  A left term ``x`` is a 256-byte
+    translation table fixing 0, a right coefficient's terms one buffer of
+    their ``bytes(y)`` joined by zero bytes; as images are ``1..n``, one
+    translate composes ``x`` with every ``y`` and ``split(b"\\0")`` cuts
+    the products apart, both in C.  A Counter per coefficient pair tallies
+    the ``len(a_items) * len(b_items)`` products.  Every input
+    coefficient, and the result's least and greatest, must lie in signed
+    64-bit range, else ``OverflowError``; sums in between are exact, so
+    term order cannot matter.
+
+    >>> convolve(3, [((2, 1, 3), 1)], [((1, 3, 2), 2)])
+    {(2, 3, 1): 2}
     """
     if n > 255:
         raise ValueError(f"degree {n} above 255: images are encoded as bytes")
-    # byte v of a left term's table is x(v); byte 0 and the padding past
-    # n are never read
+    # table byte v is x(v), byte 0 the separator; the padding is never read
     pad = bytes(255 - n)
     lefts = {ca: [b"\0" + bytes(x) + pad for x in xs]
              for ca, xs in _by_coefficient(a_items).items()}
-    rights = {cb: list(map(bytes, ys))
+    rights = {cb: b"\0".join(map(bytes, ys))
               for cb, ys in _by_coefficient(b_items).items()}
     acc = {}
     get = acc.get
     for ca, tables in lefts.items():
-        for cb, words in rights.items():
-            tally = Counter(chain.from_iterable(
-                map(bytes.translate, words, repeat(table))
-                for table in tables))
+        for cb, joined in rights.items():
+            tally = Counter(chain.from_iterable(map(
+                bytes.split, map(joined.translate, tables), repeat(b"\0"))))
             w = ca * cb
             for z, k in tally.items():
                 acc[z] = get(z, 0) + w * k
-    out = {}
-    for z, v in acc.items():
-        if v:
-            out[tuple(z)] = check_coefficient(v)
+    out = {tuple(z): v for z, v in acc.items() if v}
+    check_coefficient(min(out.values(), default=0))
+    check_coefficient(max(out.values(), default=0))
     return out
 
 

@@ -359,6 +359,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     if parabolic:
         j_subgroup = _presentation_subgroup(j_blocks)
         k_subgroup = _presentation_subgroup(k_blocks)
+        young = {}  # the Young subgroup of each meet, keyed by its mask
 
     def fail(x: Permutation | None, check: str, detail: str) -> None:
         report.failure_count += 1
@@ -369,7 +370,8 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     hit: dict[MarginMatrix, Permutation] = {}
     for x in enumerate_double_set(j, k, max_degree=max_degree):
         report.witnesses += 1
-        computed, sizes, _ = _subset_data(n, _meet(x, j, k))
+        meet = _meet(x, j, k)
+        computed, sizes, _ = _subset_data(n, meet)
         cells = _cells(x, j_data, k_data)
         predicted = tuple(map(tuple, map(cells.__getitem__, sorted(cells))))
         # a prediction equal to computed passes the check as computed does;
@@ -401,11 +403,12 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
         if parabolic:
             xinv = x.inverse()
             conjugated = {xinv * w * x for w in j_subgroup} & k_subgroup
-            expected = _presentation_subgroup(computed)
-            if conjugated != expected:
+            if meet not in young:
+                young[meet] = _presentation_subgroup(computed)
+            if conjugated != young[meet]:
                 fail(x, "parabolic",
                      f"conjugated intersection has {len(conjugated)} "
-                     f"elements, Young subgroup has {len(expected)}")
+                     f"elements, Young subgroup has {len(young[meet])}")
 
     tables = list(contingency_tables(nu, kappa, max_degree=max_degree))
     reference = set(tables)

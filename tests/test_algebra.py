@@ -358,6 +358,21 @@ def test_element_multiply_result_overflow():
         element_multiply(2**62 * b, b)
 
 
+@pytest.mark.parametrize("edge, step", [(backend.INT64_MAX, 1),
+                                        (backend.INT64_MIN, -1)])
+def test_element_multiply_result_range_ends(edge, step):
+    # (c B(1,1) + d B(2)) * (B(2) - B(1,1)) = (-c - d) B(1,1) + d B(2), as
+    # B(1,1) squares to 2 B(1,1) and B(2) is the identity.  With d the
+    # other end of int64, c = 1 puts B(1,1) on ``edge`` and the result,
+    # holding both ends, is returned; c = 1 - step puts it one past
+    pair, one = basis_element(Composition((1, 1))), identity_element(2)
+    d = -edge - 1
+    assert (element_multiply(pair + d * one, one - pair)
+            == edge * pair + d * one)
+    with pytest.raises(OverflowError, match="signed 64-bit range"):
+        element_multiply((1 - step) * pair + d * one, one - pair)
+
+
 def test_basis_product_range_checks_its_coefficients():
     # B(1^n) * B(1^n) = n! B(1^n): 20! fits in int64, 21! does not
     ones = Composition((1,) * 20)

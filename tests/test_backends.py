@@ -82,6 +82,18 @@ def test_convolve_range_ignores_term_order():
         assert backend.convolve(2, a, b) == {(1, 2): 2**62}
 
 
+@pytest.mark.parametrize("edge, step", [(backend.INT64_MAX, 1),
+                                        (backend.INT64_MIN, -1)])
+def test_convolve_result_range_ends(edge, step):
+    # -edge - 1 is the other end of int64: a result holding both ends is
+    # returned, and one step past the given end raises
+    b = [((1, 2), 1)]
+    a = [((1, 2), edge), ((2, 1), -edge - 1)]
+    assert backend.convolve(2, a, b) == {(1, 2): edge, (2, 1): -edge - 1}
+    with pytest.raises(OverflowError, match="signed 64-bit range"):
+        backend.convolve(2, a + [((1, 2), step)], b)
+
+
 def test_convolve_accumulated_overflow():
     # 2**62 * 1 twice, both landing on the identity: 2**63 is out of range
     a = [((1, 2), 2**62), ((2, 1), 2**62)]
@@ -114,6 +126,37 @@ def test_convolve_parity_many_coefficients():
     assert got == naive_convolve(a, b)
     images = {tuple(x[v - 1] for v in y) for x, _ in a for y, _ in b}
     assert len(got) < len(images)
+
+
+def test_convolve_parity_seeded_degrees_1_to_8():
+    # coefficients from a small pool, so each one joins several right
+    # terms, repeats included, into one buffer; mixed signs, values past
+    # 2**16, and planted pairs x1*y1 = x2*y2 of opposite sign that cancel
+    pool = [1, -1, 2, -3, 7, 2**24 - 1, -(2**24)]
+    cancelled = 0
+    for n in range(1, 9):
+        rng = random.Random(2500 + n)
+        def pick():
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            return tuple(images)
+        a = [(pick(), rng.choice(pool)) for _ in range(30)]
+        b = [(pick(), rng.choice(pool)) for _ in range(30)]
+        planted = []
+        for _ in range(5):
+            x1, y1, x2 = pick(), pick(), pick()
+            z = tuple(x1[v - 1] for v in y1)
+            y2 = tuple(x2.index(v) + 1 for v in z)  # x2^-1 * z
+            c, d = rng.choice(pool), rng.choice(pool)
+            a += [(x1, c), (x2, -c)]
+            b += [(y1, d), (y2, d)]
+            planted.append(z)
+        rng.shuffle(a)
+        rng.shuffle(b)
+        got = backend.convolve(n, a, b)
+        assert got == naive_convolve(a, b), n
+        cancelled += sum(z not in got for z in planted)
+    assert cancelled
 
 
 def test_convolve_empty_operand():
