@@ -9,10 +9,11 @@ its reading word, so
 
 The group-algebra oracle recomputes the same product by brute force from
 the defining sums and must agree exactly.  :func:`oracle_agrees` compares
-the two as plain ``{permutation: coefficient}`` dicts: the table product
-spread over S_n's descent classes, listed once per degree, against the raw
-:func:`backend.convolve` of the two cached indicators, whose image tuples
-equal the permutations they name.  Elements of both algebras share one
+the two in the byte words that :func:`backend.convolve` returns for the two
+cached indicators: S_n's permutations are listed once per degree by descent
+class, also as byte words, and every word of a class must carry the table
+product's weight on that class, while the classes of non-zero weight hold
+the convolution's whole support.  Elements of both algebras share one
 base, ``perms._IntegerCombination``, for their coefficient arithmetic;
 :func:`to_group_algebra` and :func:`oracle_multiply` build them, as the
 reference the lean comparison must match.
@@ -145,12 +146,15 @@ def element_multiply(a: DescentElement, b: DescentElement,
 
 # One entry per degree: S_n's permutations, listed once by descent set
 # (index d has bit h-1 set for each descent h), in lexicographic order
-# within each class.  An entry lists 720 permutations in 32 classes at n=6
-# (0.07 MiB by tracemalloc), 5 040 in 64 at n=7 (0.54 MiB) and 40 320 in
-# 128 at n=8 (4.6 MiB); four entries cover the degrees a sweep moves
-# between, and even n=5..8 together stay under 5.5 MiB.
+# within each class, each class also as the same images' byte words.  An
+# entry lists 720 permutations in 32 classes at n=6 (0.11 MiB by
+# tracemalloc), 5 040 in 64 at n=7 (0.78 MiB) and 40 320 in 128 at n=8
+# (6.5 MiB); four entries cover the degrees a sweep moves between, and
+# n=5..8 together hold 7.4 MiB.
 @lru_cache(maxsize=4)
-def _descent_classes(n: int) -> tuple[tuple[Permutation, ...], ...]:
+def _descent_classes(n: int
+                     ) -> tuple[tuple[tuple[Permutation, ...],
+                                      tuple[bytes, ...]], ...]:
     classes: list[list[Permutation]] = [[] for _ in range(1 << (n - 1))]
     for images in itertools.permutations(range(1, n + 1)):
         d = 0
@@ -158,25 +162,33 @@ def _descent_classes(n: int) -> tuple[tuple[Permutation, ...], ...]:
             if images[h] > images[h + 1]:
                 d |= 1 << h
         classes[d].append(tuple.__new__(Permutation, images))
-    return tuple(map(tuple, classes))
+    return tuple((tuple(members), tuple(map(bytes, members)))
+                 for members in classes)
+
+
+def _class_weights(a: DescentElement) -> list[int]:
+    """The coefficient of ``a`` on each permutation of descent class d,
+    listed by d and range-checked.
+
+    A permutation lies in ``X_eta`` when none of ``eta``'s required
+    ascents is one of its descents, so each class takes the sum of the
+    coefficients of the basis elements whose mask misses d.
+    """
+    masks = [(composition_to_subset(comp).mask, coeff)
+             for comp, coeff in a.terms.items()]
+    return [check_coefficient(sum(coeff for m, coeff in masks if m & d == 0))
+            for d in range(1 << (a.n - 1))]
 
 
 def _expand(a: DescentElement) -> dict[Permutation, int]:
     """``{permutation: coefficient}`` of ``a`` in the group algebra.
 
-    The coefficient a permutation receives depends only on its descent
-    set: one range-checked weight per descent class, spread over the
-    class's cached permutations.  The caller has checked the degree.
+    Each class's weight is spread over its cached permutations.  The
+    caller has checked the degree.
     """
-    masks = [(composition_to_subset(comp).mask, coeff)
-             for comp, coeff in a.terms.items()]
-    terms: dict[tuple[int, ...], int] = {}
-    for d, members in enumerate(_descent_classes(a.n)):
-        w = 0
-        for m, coeff in masks:
-            if m & d == 0:  # no required ascent is a descent
-                w += coeff
-        if check_coefficient(w):
+    terms: dict[Permutation, int] = {}
+    for (members, _), w in zip(_descent_classes(a.n), _class_weights(a)):
+        if w:
             terms.update(dict.fromkeys(members, w))
     return terms
 
@@ -222,25 +234,41 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
 
     The verdict is what comparing ``to_group_algebra(solomon_multiply(kappa,
     nu))`` with ``oracle_multiply(kappa, nu)`` gives, reached without
-    building either element: the table product is expanded to one
-    ``{permutation: coefficient}`` dict by descent class, and the raw
-    :func:`backend.convolve` of the two cached indicators, keyed by the
-    equal image tuples, is the other.
+    building either element, in the byte words that
+    :func:`backend.convolve` returns for the two cached indicators.  Each
+    descent class's words must all carry the class's weight in the
+    convolution, zero weights included, and the classes of non-zero
+    weight must hold the convolution's whole support, so that no word
+    outside S_n's permutations is left.  Only a mismatch builds the table
+    product's ``{word: coefficient}`` dict, to find the smallest word that
+    differs.
     """
     n = kappa.n
     if n != nu.n:
         raise degree_mismatch(n, nu.n)
     check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
-    table = _expand(solomon_multiply(kappa, nu, max_degree=max_degree))
+    weights = _class_weights(solomon_multiply(kappa, nu,
+                                              max_degree=max_degree))
     # through the module attribute, so a wrapper on it sees every check
     oracle = backend.convolve(n, _basis_indicator(n, kappa).terms.items(),
                               _basis_indicator(n, nu).terms.items())
-    if table == oracle:
-        return None
-    images = min(z for z in table.keys() | oracle.keys()
-                 if table.get(z, 0) != oracle.get(z, 0))
-    return (tuple.__new__(Permutation, images), table.get(images, 0),
-            oracle.get(images, 0))
+    classes = _descent_classes(n)
+    get = oracle.get
+    support = 0
+    for (_, words), w in zip(classes, weights):
+        if list(map(get, words, itertools.repeat(0))) != [w] * len(words):
+            break
+        if w:
+            support += len(words)
+    else:
+        if support == len(oracle):
+            return None
+    table = {z: w for (_, words), w in zip(classes, weights) if w
+             for z in words}
+    word = min(z for z in table.keys() | oracle.keys()
+               if table.get(z, 0) != get(z, 0))
+    return (tuple.__new__(Permutation, word), table.get(word, 0),
+            get(word, 0))
 
 
 def oracle_agrees(kappa: Composition, nu: Composition,

@@ -1,8 +1,9 @@
 """The hot kernels: group-algebra convolution and the margin-table sweeps.
 
 :func:`convolve` composes a left term with all of one coefficient's right
-terms in one ``bytes.translate`` of their joined words and cuts the products
-apart with one ``split``, so the work per term pair runs in C.  A basis
+terms in one ``bytes.translate`` of their joined words, cuts the products
+apart with one ``split`` and tallies them with ``Counter``, so the work per
+term pair runs in C, and returns the products as those byte words.  A basis
 product needs only how many margin tables have each reading word, which
 :func:`reading_word_counts` tallies in one forward pass over the rows, as
 counts of states (column sums left, word so far).  A row's merged fillings
@@ -18,6 +19,8 @@ bounded cache of 4 096 entries, :func:`_row_fillings`.
 Conventions:
 
 * permutations are tuples of images in one-line notation, values ``1..n``;
+  :func:`convolve` returns its products as ``bytes`` words of those
+  images, whose ``tuple`` is the image tuple;
 * a reading word is the tuple of a margin table's non-zero entries, read
   row by row: the parts of a composition of ``n``;
 * every input coefficient and every result must lie within signed 64-bit
@@ -65,21 +68,24 @@ def convolve(n, a_items, b_items):
 
     ``a_items`` and ``b_items`` are sequences of ``(images, coefficient)``
     pairs with ``n <= 255``, else ``ValueError``; the result maps composed
-    images ``x*y`` (right factor first) to accumulated coefficients, zeros
-    dropped.
+    images ``x*y`` (right factor first), as ``bytes`` words, to accumulated
+    coefficients, zeros dropped.  ``tuple(word)`` is the image tuple, and
+    words order as their tuples do.
 
     Terms are grouped by coefficient.  A left term ``x`` is a 256-byte
     translation table fixing 0, a right coefficient's terms one buffer of
     their ``bytes(y)`` joined by zero bytes; as images are ``1..n``, one
     translate composes ``x`` with every ``y`` and ``split(b"\\0")`` cuts
-    the products apart, both in C.  A Counter per coefficient pair tallies
-    the ``len(a_items) * len(b_items)`` products.  Every input
-    coefficient, and the result's least and greatest, must lie in signed
-    64-bit range, else ``OverflowError``; sums in between are exact, so
-    term order cannot matter.
+    the products apart, both in C.  One Counter per product weight
+    ``ca * cb`` tallies the ``len(a_items) * len(b_items)`` products, also
+    in C.  With one weight, as for a product of two basis indicators, the
+    result is that Counter scaled; with several, the tallies are summed.
+    Every input coefficient, and the result's least and greatest, must lie
+    in signed 64-bit range, else ``OverflowError``; sums in between are
+    exact, so term order cannot matter.
 
     >>> convolve(3, [((2, 1, 3), 1)], [((1, 3, 2), 2)])
-    {(2, 3, 1): 2}
+    {b'\\x02\\x03\\x01': 2}
     """
     if n > 255:
         raise ValueError(f"degree {n} above 255: images are encoded as bytes")
@@ -89,16 +95,25 @@ def convolve(n, a_items, b_items):
              for ca, xs in _by_coefficient(a_items).items()}
     rights = {cb: b"\0".join(map(bytes, ys))
               for cb, ys in _by_coefficient(b_items).items()}
-    acc = {}
-    get = acc.get
+    tallies = {}
     for ca, tables in lefts.items():
         for cb, joined in rights.items():
-            tally = Counter(chain.from_iterable(map(
-                bytes.split, map(joined.translate, tables), repeat(b"\0"))))
             w = ca * cb
+            if w:
+                tallies.setdefault(w, Counter()).update(chain.from_iterable(
+                    map(bytes.split, map(joined.translate, tables),
+                        repeat(b"\0"))))
+    if len(tallies) == 1:
+        # zero weights are skipped and counts are positive: nothing cancels
+        (w, tally), = tallies.items()
+        out = dict(tally) if w == 1 else {z: w * k for z, k in tally.items()}
+    else:
+        acc = {}
+        get = acc.get
+        for w, tally in tallies.items():
             for z, k in tally.items():
                 acc[z] = get(z, 0) + w * k
-    out = {tuple(z): v for z, v in acc.items() if v}
+        out = {z: v for z, v in acc.items() if v}
     check_coefficient(min(out.values(), default=0))
     check_coefficient(max(out.values(), default=0))
     return out

@@ -390,7 +390,8 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
         for key, cell in cells.items():
             counts[key] = len(cell)
         table = _table(counts, r)
-        word = table.reading_word()
+        # the table's reading word: its non-zero counts in row-major order
+        word = tuple(filter(None, counts))
         if sizes != word:
             fail(x, "reading-word",
                  f"component sizes {tuple(sizes)} "

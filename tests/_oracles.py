@@ -65,6 +65,13 @@ def naive_convolve(a_items, b_items):
     return {k: v for k, v in acc.items() if v}
 
 
+def image_tuples(result):
+    """A convolution result, keyed by ``bytes`` words of images, re-keyed
+    by the image tuples the oracles above use."""
+    assert all(type(word) is bytes for word in result)
+    return {tuple(word): c for word, c in result.items()}
+
+
 def young_subgroup(n, members):
     """All permutations preserving each component of the subset graph,
     with components found by scanning runs of consecutive generators."""

@@ -298,9 +298,10 @@ def test_lean_oracle_reads_the_convolution(monkeypatch):
 
     def short_one(n, a_items, b_items):
         out = convolve(n, a_items, b_items)
-        out[target] -= 1
-        if not out[target]:
-            del out[target]
+        word = bytes(target)
+        out[word] -= 1
+        if not out[word]:
+            del out[word]
         return out
 
     monkeypatch.setattr(backend, "convolve", short_one)
@@ -309,6 +310,55 @@ def test_lean_oracle_reads_the_convolution(monkeypatch):
     assert perm == Permutation(target)
     assert (table_coeff, oracle_coeff) == (honest[target],
                                            honest[target] - 1)
+
+
+def convolution_faults(n, honest):
+    """Four changes to an honest convolution of degree n, each as
+    ``{word: delta}``: one count on a word of a zero-weight class, one word
+    dropped, one word that is no permutation, and one count moved between
+    two words of a class of non-zero weight."""
+    group = list(itertools.permutations(range(1, n + 1)))
+    classes = {}
+    for p in group:
+        descents = tuple(h for h in range(1, n) if p[h - 1] > p[h])
+        classes.setdefault(descents, []).append(p)
+    zero = next(p for p in group if p not in honest)
+    dropped = max(honest)
+    mover, taker = next(c[:2] for c in classes.values()
+                        if len(c) >= 2 and c[0] in honest)
+    return {
+        "zero-class": {bytes(zero): 1},
+        "drop": {bytes(dropped): -honest[dropped]},
+        "non-permutation": {bytes((1, 1, *range(3, n + 1))): 1},
+        "move": {bytes(mover): -1, bytes(taker): 1},
+    }
+
+
+@pytest.mark.parametrize("fault", ["zero-class", "drop", "non-permutation",
+                                   "move"])
+def test_word_space_verdict_catches_convolution_faults(monkeypatch, fault):
+    # B(2,2)*B(3,1) has weights 0, 1 and 2; the patched attribute serves
+    # the lean check and the reference alike
+    kappa, nu = Composition((2, 2)), Composition((3, 1))
+    honest = oracle_multiply(kappa, nu).terms
+    delta = convolution_faults(kappa.n, honest)[fault]
+    convolve = backend.convolve
+
+    def faulty(n, a_items, b_items):
+        out = convolve(n, a_items, b_items)
+        for word, d in delta.items():
+            out[word] = out.get(word, 0) + d
+            if not out[word]:
+                del out[word]
+        return out
+
+    monkeypatch.setattr(backend, "convolve", faulty)
+    got = oracle_mismatch(kappa, nu)
+    assert got == reference_mismatch(kappa, nu)
+    assert not oracle_agrees(kappa, nu)
+    first = min(delta)
+    want = honest.get(tuple(first), 0)
+    assert got == (tuple(first), want, want + delta[first])
 
 
 def test_oracle_degree_bound_checked_before_sweep():
@@ -320,7 +370,7 @@ def test_oracle_degree_bound_checked_before_sweep():
     assert algebra._descent_classes.cache_info().currsize == 0
     assert oracle_agrees(eight, eight, max_degree=8)
     assert oracle_mismatch(eight, eight, max_degree=8) is None
-    algebra._descent_classes.cache_clear()  # drop the 4 MiB S_8 entry
+    algebra._descent_classes.cache_clear()  # drop the 6.5 MiB S_8 entry
 
 
 def test_oracle_agrees_spot_check_degree_six():

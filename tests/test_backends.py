@@ -17,7 +17,8 @@ import pytest
 import descents
 from descents import Composition, backend, reading_multinomial_sum
 
-from _oracles import brute_tables, filter_left_reps, naive_convolve
+from _oracles import (brute_tables, filter_left_reps, image_tuples,
+                      naive_convolve)
 
 
 def random_items(n, count, rng, lo=-9, hi=9):
@@ -42,7 +43,7 @@ def test_convolve_parity_dense(n):
     rng = random.Random(100 + n)
     a = random_items(n, 8, rng)
     b = random_items(n, 8, rng)
-    got = backend.convolve(n, a, b)
+    got = image_tuples(backend.convolve(n, a, b))
     assert got == naive_convolve(as_dict(a).items(), as_dict(b).items())
 
 
@@ -56,7 +57,7 @@ def test_convolve_parity_sparse_path():
         return tuple(images)
     a = [(pick(), rng.randint(-4, 4)) for _ in range(12)]
     b = [(pick(), rng.randint(-4, 4)) for _ in range(12)]
-    got = backend.convolve(n, a, b)
+    got = image_tuples(backend.convolve(n, a, b))
     assert got == naive_convolve(as_dict(a).items(), as_dict(b).items())
 
 
@@ -79,7 +80,7 @@ def test_convolve_range_ignores_term_order():
     b = [((1, 2), 1)]
     for signs in ((1, 1, -1), (1, -1, 1)):
         a = [((1, 2), s * 2**62) for s in signs]
-        assert backend.convolve(2, a, b) == {(1, 2): 2**62}
+        assert image_tuples(backend.convolve(2, a, b)) == {(1, 2): 2**62}
 
 
 @pytest.mark.parametrize("edge, step", [(backend.INT64_MAX, 1),
@@ -89,7 +90,8 @@ def test_convolve_result_range_ends(edge, step):
     # returned, and one step past the given end raises
     b = [((1, 2), 1)]
     a = [((1, 2), edge), ((2, 1), -edge - 1)]
-    assert backend.convolve(2, a, b) == {(1, 2): edge, (2, 1): -edge - 1}
+    assert image_tuples(backend.convolve(2, a, b)) == {(1, 2): edge,
+                                                       (2, 1): -edge - 1}
     with pytest.raises(OverflowError, match="signed 64-bit range"):
         backend.convolve(2, a + [((1, 2), step)], b)
 
@@ -107,7 +109,7 @@ def test_convolve_parity_indicators():
     # sees every image 30 times
     a = [(p, 1) for p in filter_left_reps(5, set())]
     b = [(p, 1) for p in filter_left_reps(5, {1, 4})]
-    got = backend.convolve(5, a, b)
+    got = image_tuples(backend.convolve(5, a, b))
     assert got == naive_convolve(a, b)
     assert set(got.values()) == {30}
 
@@ -122,7 +124,7 @@ def test_convolve_parity_many_coefficients():
     a = [(rng.choice(pool[:6]), rng.randint(-9, 9)) for _ in range(40)]
     b = [(rng.choice(pool[:6]), rng.randint(-9, 9)) for _ in range(40)]
     a += [(pool[6], 7), (pool[6], -7)]
-    got = backend.convolve(5, a, b)
+    got = image_tuples(backend.convolve(5, a, b))
     assert got == naive_convolve(a, b)
     images = {tuple(x[v - 1] for v in y) for x, _ in a for y, _ in b}
     assert len(got) < len(images)
@@ -153,7 +155,7 @@ def test_convolve_parity_seeded_degrees_1_to_8():
             planted.append(z)
         rng.shuffle(a)
         rng.shuffle(b)
-        got = backend.convolve(n, a, b)
+        got = image_tuples(backend.convolve(n, a, b))
         assert got == naive_convolve(a, b), n
         cancelled += sum(z not in got for z in planted)
     assert cancelled
@@ -167,7 +169,8 @@ def test_convolve_empty_operand():
 
 def test_convolve_degree_limit():
     items = [(tuple(range(1, 256)), 1)]
-    assert backend.convolve(255, items, items) == {tuple(range(1, 256)): 1}
+    assert image_tuples(backend.convolve(255, items, items)) == {
+        tuple(range(1, 256)): 1}
     big = [(tuple(range(1, 257)), 1)]
     with pytest.raises(ValueError):
         backend.convolve(256, big, big)

@@ -160,7 +160,7 @@ def _tables(n):
 
 def _mismatch_images(n):
     # with the table product emptied, the verdict's permutation is built
-    # from the raw convolution's plain image tuples
+    # from the raw convolution's byte words
     with mock.patch.object(algebra, "solomon_multiply",
                            lambda kappa, nu, max_degree: DescentElement(n)):
         return [oracle_mismatch(kappa, nu)[0]

@@ -416,14 +416,23 @@ def test_verify_pair_bijection_names_repeated_table(monkeypatch):
     assert "123" in repeated[0].detail
 
 
+class RowsSwappedCounts(dict):
+    """Cells of a two-by-two table whose counts are filed with the rows
+    swapped (key ``m * 2 + q`` as ``(1 - m) * 2 + q``), while the
+    presentation, read by key, stays right."""
+
+    def items(self):
+        return [(key ^ 2, cell) for key, cell in super().items()]
+
+
 def test_verify_pair_names_a_wrong_reading_word(monkeypatch):
-    # tables read with their rows reversed: the witness 231's table
+    # tables counted with their rows reversed: the witness 231's table
     # [1 0; 0 2] reads 1,2 against its components' sizes 2,1, and neither
     # table is a margin matrix of the pair
-    real = descents.cosets._table
+    real = descents.cosets._cells
     monkeypatch.setattr(
-        descents.cosets, "_table",
-        lambda counts, r: MarginMatrix(reversed(real(counts, r))))
+        descents.cosets, "_cells",
+        lambda *args: RowsSwappedCounts(real(*args)))
     report = verify_subset_pair(GeneratorSubset(3, {2}),
                                 GeneratorSubset(3, {1}))
     foreign = "is not a margin matrix of the pair"
