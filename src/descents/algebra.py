@@ -180,25 +180,17 @@ def _class_weights(a: DescentElement) -> list[int]:
             for d in range(1 << (a.n - 1))]
 
 
-def _expand(a: DescentElement) -> dict[Permutation, int]:
-    """``{permutation: coefficient}`` of ``a`` in the group algebra.
-
-    Each class's weight is spread over its cached permutations.  The
-    caller has checked the degree.
-    """
+def to_group_algebra(a: DescentElement,
+                     max_degree: int | None = None) -> GroupAlgebraElement:
+    """Expand into the group algebra: each ``B(eta)`` becomes the sum of
+    its coset representatives, so each descent class's weight
+    (:func:`_class_weights`) goes to every cached permutation of it."""
+    check_degree(a.n, max_degree, ORACLE_DEGREE_DEFAULT)
     terms: dict[Permutation, int] = {}
     for (members, _), w in zip(_descent_classes(a.n), _class_weights(a)):
         if w:
             terms.update(dict.fromkeys(members, w))
-    return terms
-
-
-def to_group_algebra(a: DescentElement,
-                     max_degree: int | None = None) -> GroupAlgebraElement:
-    """Expand into the group algebra: each ``B(eta)`` becomes the sum of
-    its coset representatives."""
-    check_degree(a.n, max_degree, ORACLE_DEGREE_DEFAULT)
-    return GroupAlgebraElement(a.n, _expand(a), check=False)
+    return GroupAlgebraElement(a.n, terms, check=False)
 
 
 # 256 holds the indicators of all 127 compositions through n=7; the

@@ -219,7 +219,7 @@ def cmd_graph(args) -> int:
         sys.stdout.write(to_dot(graph))
         return 0
     presentation = ordered_presentation(graph)
-    edges = " ".join(f"{{{u},{v}}}" for u, v in graph.sorted_edges())
+    edges = " ".join(f"{{{u},{v}}}" for u, v in graph.edges)
     print(f"n: {args.n}")
     print(f"subset: {{{subset.to_text()}}}")
     print(f"edges: {edges if edges else '(none)'}")

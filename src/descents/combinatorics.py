@@ -91,18 +91,18 @@ class GeneratorSubset:
     """A subset of the generator indices ``1..n-1`` for a fixed degree n.
 
     ``mask`` has bit ``i-1`` set for each member i, the convention of every
-    descent mask in the package; a subset equals and hashes as its
-    ``(n, mask)``.
+    descent mask in the package, and ``members`` lists its set bits in
+    increasing order; a subset equals and hashes as its ``(n, mask)``.
 
-    >>> GeneratorSubset(4, [1, 3]).mask
-    5
+    >>> j = GeneratorSubset(4, [3, 1, 3])
+    >>> j.members, j.mask
+    ((1, 3), 5)
     """
 
     __slots__ = ("n", "members", "mask")
 
     def __init__(self, n: int, members: Iterable[int] = ()):
         _check_subset_degree(n)
-        members = frozenset(members)
         mask = 0
         for m in members:
             if type(m) is not int or not 1 <= m <= n - 1:
@@ -110,7 +110,9 @@ class GeneratorSubset:
                     f"generator index {m!r} outside 1..{n - 1}")
             mask |= 1 << (m - 1)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", members)
+        # a list: tuple() of a generator crept oracle-check's peak RSS
+        object.__setattr__(self, "members", tuple([
+            i for i in range(1, n) if mask >> (i - 1) & 1]))
         object.__setattr__(self, "mask", mask)
 
     def __setattr__(self, name, value):
@@ -132,10 +134,7 @@ class GeneratorSubset:
         return cls(n, members)
 
     def to_text(self) -> str:
-        return ",".join(str(m) for m in sorted(self.members))
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return ",".join(map(str, self.members))
 
     def __contains__(self, m: int) -> bool:
         return m in self.members
@@ -157,7 +156,8 @@ class SubsetGraph:
     Graphs of generator subsets only have edges ``{i, i+1}``, but images
     under a permutation produce arbitrary edges, which is why components
     are found by union-find rather than by scanning runs.  The constructor
-    validates and stores each edge as a pair ``(u, v)`` with ``u < v``.
+    validates each edge, and ``edges`` is the sorted tuple of the distinct
+    pairs ``(u, v)`` with ``u < v``.
     """
 
     __slots__ = ("n", "edges")
@@ -173,7 +173,7 @@ class SubsetGraph:
                 raise ValueError(f"edge ({u},{v}) outside 1..{n}")
             norm.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SubsetGraph is immutable")
@@ -191,10 +191,7 @@ class SubsetGraph:
     def intersection(self, other: "SubsetGraph") -> "SubsetGraph":
         if self.n != other.n:
             raise degree_mismatch(self.n, other.n)
-        return SubsetGraph(self.n, self.edges & other.edges)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return SubsetGraph(self.n, set(self.edges).intersection(other.edges))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubsetGraph)
@@ -204,7 +201,7 @@ class SubsetGraph:
         return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
-        body = " ".join(f"{{{u},{v}}}" for u, v in self.sorted_edges())
+        body = " ".join(f"{{{u},{v}}}" for u, v in self.edges)
         return f"SubsetGraph({self.n}, {body or 'no edges'})"
 
 
@@ -313,8 +310,9 @@ def subset_to_composition(j: GeneratorSubset) -> Composition:
     """Sizes of the components of the graph of J, in order."""
     parts = []
     size = 1
+    mask = j.mask
     for i in range(1, j.n):
-        if i in j.members:
+        if mask >> (i - 1) & 1:
             size += 1
         else:
             parts.append(size)
@@ -394,7 +392,7 @@ def to_dot(g: SubsetGraph) -> str:
         for v in block:
             lines.append(f"    {v};")
         lines.append("  }")
-    for u, v in g.sorted_edges():
+    for u, v in g.edges:
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -348,8 +348,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     checks = ["presentation", "reading-word", "bijection"]
     if parabolic:
         checks.append("parabolic")
-    report = PairReport(n, j.sorted_members(), k.sorted_members(),
-                        tuple(checks))
+    report = PairReport(n, j.members, k.members, tuple(checks))
 
     j_data, k_data = _subset_data(n, j.mask), _subset_data(n, k.mask)
     j_blocks, kappa, _ = j_data

@@ -84,6 +84,7 @@ def test_degree_mismatch_names_both_degrees():
     for call in (lambda: a + b, lambda: a - b, lambda: element_multiply(a, b),
                  lambda: solomon_multiply(three, four),
                  lambda: oracle_multiply(three, four),
+                 lambda: oracle_mismatch(three, Composition((1, 1, 2))),
                  lambda: reading_multinomial_sum(three, four),
                  lambda: counting_identity_holds(three, four),
                  lambda: list(contingency_tables(three, four))):
@@ -133,6 +134,10 @@ def test_to_group_algebra_is_sum_of_reps():
             want = {p: 1 for p in
                     enumerate_left_reps(composition_to_subset(kappa))}
             assert expanded.terms == want
+    # the repr lists the first 8 terms in one-line order
+    assert repr(to_group_algebra(basis_element(Composition((1, 1, 1, 1))))) \
+        == ("GroupAlgebraElement(4, 1*1234 + 1*1243 + 1*1324 + 1*1342 + "
+            "1*1423 + 1*1432 + 1*2134 + 1*2143 + ... (24 terms))")
 
 
 def test_to_group_algebra_is_linear():
@@ -456,6 +461,8 @@ def test_element_contract(cls, keys, other_keys):
     assert len(a) == 1 and a.terms.get(x, 0) == 0
     assert (a - a).terms == {} and not (a - a)
     assert (0 * a).terms == {}
+    # equal elements hash equal
+    assert hash(cls(2, {y: 3})) == hash(a)
     # immutable
     for name in ("n", "terms", "other"):
         with pytest.raises(AttributeError):
@@ -550,6 +557,8 @@ def test_counting_identity_degree_mismatch():
 
 
 def test_structure_constants_shape():
+    with pytest.raises(ValueError, match="^degree must be at least 1$"):
+        structure_constants(0)
     rows = structure_constants(3)
     assert len(rows) == 16
     comps = all_compositions(3)

@@ -287,6 +287,10 @@ def test_enumerate_tables_margin_validation():
         backend.enumerate_tables((0, 3), (3,))
     with pytest.raises(ValueError):
         backend.enumerate_tables((), ())
+    # the sweep checks the same margins, and their degree against n
+    with pytest.raises(ValueError, match="^margins must be margins of "
+                                         "compositions of n$"):
+        backend.reading_word_counts((1, 2), (2, 1), 4)
 
 
 @pytest.mark.parametrize("nu,kappa", PARITY_CASES)

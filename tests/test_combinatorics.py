@@ -47,6 +47,8 @@ def test_composition_validation():
     assert Composition((3,)).n == 3
     assert Composition.from_text("1,3,2") == (1, 3, 2)
     assert Composition((1, 3, 2)).to_text() == "1,3,2"
+    with pytest.raises(ValueError, match=r"^bad composition text: '1,a'$"):
+        Composition.from_text("1,a")
 
 
 def test_composition_is_its_parts_tuple():
@@ -149,6 +151,16 @@ def test_value_types_copy_and_pickle(value):
         assert repr(clone) == repr(value)
 
 
+@pytest.mark.parametrize("value", [
+    GeneratorSubset(4, [1, 3]),
+    SubsetGraph(4, [(1, 3), (2, 4)]),
+], ids=lambda v: type(v).__name__)
+def test_subset_values_are_immutable(value):
+    for name in ("n", "members", "mask", "edges", "other"):
+        with pytest.raises(AttributeError, match="is immutable$"):
+            setattr(value, name, None)
+
+
 def _pairs(items):
     return itertools.product(items, items)
 
@@ -218,12 +230,18 @@ def test_trusted_builds_give_their_type_and_pass_the_check(cls, build):
 
 
 def test_subset_from_text():
-    assert GeneratorSubset.from_text(5, "").members == frozenset()
-    assert GeneratorSubset.from_text(5, "2,4").members == frozenset({2, 4})
+    assert GeneratorSubset.from_text(5, "").members == ()
+    assert GeneratorSubset.from_text(5, "2,4").members == (2, 4)
     with pytest.raises(ValueError):
         GeneratorSubset.from_text(5, "5")
     with pytest.raises(ValueError):
         GeneratorSubset.from_text(5, "0")
+    with pytest.raises(ValueError, match=r"^bad subset text: '1,x'$"):
+        GeneratorSubset.from_text(4, "1,x")
+    # each item is checked before any is sorted
+    with pytest.raises(ValueError, match=r"^generator index 'a' outside "
+                                         r"1\.\.3$"):
+        GeneratorSubset(4, [1, "a"])
     with pytest.raises(ValueError, match=r"^generator index True outside "
                                          r"1\.\.2$"):
         GeneratorSubset(3, [True])
@@ -231,6 +249,8 @@ def test_subset_from_text():
         with pytest.raises(ValueError,
                            match=rf"^degree must be an integer: {degree}$"):
             GeneratorSubset(degree, [1])
+    with pytest.raises(ValueError, match="^degree must be at least 1$"):
+        GeneratorSubset(0)
 
 
 def test_subset_mask_is_its_members_bits():
@@ -240,6 +260,7 @@ def test_subset_mask_is_its_members_bits():
         assert len({j.mask for j in subsets}) == len(subsets)
         for j in subsets:
             assert j.mask == sum(1 << (i - 1) for i in j.members)
+            assert [i for i in range(n + 1) if i in j] == list(j.members)
             twin = GeneratorSubset(n, sorted(j.members))
             assert twin == j and hash(twin) == hash(j)
             assert twin.mask == j.mask
@@ -300,22 +321,22 @@ def test_enumeration_counts():
 def test_enumeration_order_frozen():
     got = all_compositions(3)
     assert got == [(1, 1, 1), (2, 1), (3,), (1, 2)]
-    got4 = [s.sorted_members() for s in all_generator_subsets(4)]
+    got4 = [s.members for s in all_generator_subsets(4)]
     assert got4 == [(), (1,), (1, 2), (1, 2, 3), (1, 3), (2,), (2, 3), (3,)]
 
 
 def test_graph_of_subset_edges():
     g = graph_of_subset(GeneratorSubset(9, {2, 3, 7}))
-    assert g.sorted_edges() == [(2, 3), (3, 4), (7, 8)]
-    assert graph_of_subset(GeneratorSubset(3)).sorted_edges() == []
+    assert g.edges == ((2, 3), (3, 4), (7, 8))
+    assert graph_of_subset(GeneratorSubset(3)).edges == ()
 
 
 def test_graph_image_and_intersection():
     x = Permutation((3, 1, 4, 2))
     g = SubsetGraph(4, [(1, 2), (3, 4)])
-    assert g.image_under(x).sorted_edges() == [(1, 3), (2, 4)]
+    assert g.image_under(x).edges == ((1, 3), (2, 4))
     h = SubsetGraph(4, [(1, 3), (1, 2)])
-    assert g.image_under(x).intersection(h).sorted_edges() == [(1, 3)]
+    assert g.image_under(x).intersection(h).edges == ((1, 3),)
 
 
 def test_graph_rejects_bad_edges():
@@ -332,6 +353,7 @@ def test_graph_rejects_bad_edges():
         SubsetGraph(3.0, [(1, 2)])
     # orientation of the pair does not matter
     assert SubsetGraph(3, [(3, 1)]) == SubsetGraph(3, [(1, 3)])
+    assert hash(SubsetGraph(3, [(3, 1)])) == hash(SubsetGraph(3, [(1, 3)]))
 
 
 def test_ordered_presentation_via_union_find():
@@ -465,7 +487,8 @@ def test_unchecked_graphs_match_validated_rebuild():
                 for k in all_generator_subsets(n):
                     both = image.intersection(graph_of_subset(k))
                     assert both == SubsetGraph(n, both.edges)
-                    assert both.edges == image.edges & graph_of_subset(k).edges
+                    assert set(both.edges) == (
+                        set(image.edges) & set(graph_of_subset(k).edges))
 
 
 def test_contingency_tables_mismatched_sums():

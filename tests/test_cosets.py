@@ -370,6 +370,11 @@ def test_verify_pair_collects_failures(monkeypatch):
     text = report.to_text()
     assert text.startswith("FAIL")
     assert "more" in text
+    rec = report.record()
+    assert rec["passed"] is False and rec["failure_count"] == 36
+    assert rec["failures"] == [
+        {"x": f.x_text, "check": f.check, "detail": f.detail}
+        for f in report.failures]
 
 
 def test_verify_pair_bijection_names_missing_and_extra_tables(monkeypatch):

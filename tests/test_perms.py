@@ -19,6 +19,8 @@ def test_identity_and_call():
     e = Permutation.identity(4)
     assert e == (1, 2, 3, 4)
     assert [e(i) for i in range(1, 5)] == [1, 2, 3, 4]
+    with pytest.raises(ValueError, match=r"^argument 0 outside 1\.\.2$"):
+        Permutation((2, 1))(0)
 
 
 def test_constructor_rejects_non_permutations():
@@ -28,6 +30,8 @@ def test_constructor_rejects_non_permutations():
         Permutation((0, 1, 2))
     with pytest.raises(ValueError):
         Permutation(())
+    with pytest.raises(ValueError, match="^degree must be at least 1$"):
+        Permutation.identity(0)
 
 
 def test_immutability():
@@ -69,6 +73,11 @@ def test_composition_convention():
             z = x * y
             for i in range(1, 4):
                 assert z(i) == x(y(i))
+    # only x * y composes; int * x repeats the tuple, as on any tuple
+    p = Permutation((2, 1))
+    with pytest.raises(TypeError):
+        p * 2
+    assert 2 * p == (2, 1, 2, 1)
 
 
 def test_inverse():
@@ -100,6 +109,8 @@ def test_enumerate_group_order_and_size():
 def test_enumerate_group_bound():
     with pytest.raises(ValueError):
         list(enumerate_group(8))
+    with pytest.raises(ValueError, match="^degree must be at least 1$"):
+        list(enumerate_group(0))
     # explicit override allows it
     it = enumerate_group(8, max_degree=8)
     assert next(it) == tuple(range(1, 9))
