@@ -25,7 +25,6 @@ reference the lean comparison must match.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from functools import lru_cache
@@ -33,7 +32,7 @@ from typing import Iterable, TextIO
 
 from . import backend
 from .backend import check_coefficient
-from .combinatorics import Composition, all_compositions, composition_to_subset
+from .combinatorics import Composition, _composition_mask, all_compositions
 from .perms import (
     BASIS_DEGREE_MAX,
     ORACLE_DEGREE_DEFAULT,
@@ -174,7 +173,7 @@ def _class_weights(a: DescentElement) -> list[int]:
     ascents is one of its descents, so each class takes the sum of the
     coefficients of the basis elements whose mask misses d.
     """
-    masks = [(composition_to_subset(comp).mask, coeff)
+    masks = [(_composition_mask(comp), coeff)
              for comp, coeff in a.terms.items()]
     return [check_coefficient(sum(coeff for m, coeff in masks if m & d == 0))
             for d in range(1 << (a.n - 1))]
@@ -319,6 +318,7 @@ def write_structure_csv(rows: Iterable[tuple[Composition, Composition,
                                              DescentElement]],
                         fh: TextIO) -> None:
     """One CSV row per (kappa, nu, eta) coefficient."""
+    import csv  # here, so that importing the package does not load csv
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["kappa", "nu", "eta", "coefficient"])
     for kappa, nu, product in rows:

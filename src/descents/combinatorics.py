@@ -321,14 +321,25 @@ def subset_to_composition(j: GeneratorSubset) -> Composition:
     return Composition(parts)
 
 
-def composition_to_subset(kappa: Composition) -> GeneratorSubset:
-    """The generator subset whose graph components have sizes ``kappa``.
+def _composition_mask(kappa: Composition) -> int:
+    """``composition_to_subset(kappa).mask``, built with no subset: every
+    generator index except the proper partial sums of ``kappa``.
 
-    These are all indices except the proper partial sums of ``kappa``.
+    >>> bin(_composition_mask(Composition((2, 1, 3))))
+    '0b11001'
     """
+    mask = (1 << (kappa.n - 1)) - 1
+    for s in itertools.accumulate(kappa[:-1]):
+        mask ^= 1 << (s - 1)
+    return mask
+
+
+def composition_to_subset(kappa: Composition) -> GeneratorSubset:
+    """The generator subset whose graph components have sizes ``kappa``:
+    the members of :func:`_composition_mask`."""
     n = kappa.n
-    sums = set(itertools.accumulate(kappa[:-1]))
-    return GeneratorSubset(n, (i for i in range(1, n) if i not in sums))
+    mask = _composition_mask(kappa)
+    return GeneratorSubset(n, [i for i in range(1, n) if mask >> (i - 1) & 1])
 
 
 def all_generator_subsets(n: int) -> list[GeneratorSubset]:

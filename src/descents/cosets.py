@@ -24,7 +24,6 @@ mask is read from x's adjacent values and looked up in the same cache.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -253,27 +252,74 @@ def _presentation_subgroup(blocks) -> set[Permutation]:
     return members
 
 
-@dataclass
 class PairFailure:
-    """One counterexample found while verifying a subset pair."""
-    x_text: str
-    check: str
-    detail: str
+    """One counterexample found while verifying a subset pair: the witness
+    x as text (``-`` when none), the check it failed and what differed.
+
+    A plain slotted class, written out so that importing the package
+    loads no class generator: it compares and prints by its three fields,
+    and is unhashable."""
+
+    __slots__ = ("x_text", "check", "detail")
+    __hash__ = None
+
+    def __init__(self, x_text: str, check: str, detail: str):
+        self.x_text = x_text
+        self.check = check
+        self.detail = detail
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.x_text, self.check, self.detail)
+                == (other.x_text, other.check, other.detail))
+
+    def __repr__(self) -> str:
+        return (f"PairFailure(x_text={self.x_text!r}, check={self.check!r}, "
+                f"detail={self.detail!r})")
 
     def record(self) -> dict:
         return {"x": self.x_text, "check": self.check, "detail": self.detail}
 
 
-@dataclass
 class PairReport:
-    """Outcome of :func:`verify_subset_pair` for one (J, K) pair."""
-    n: int
-    j_members: tuple[int, ...]
-    k_members: tuple[int, ...]
-    checks: tuple[str, ...]
-    witnesses: int = 0
-    failure_count: int = 0
-    failures: list[PairFailure] = field(default_factory=list)
+    """Outcome of :func:`verify_subset_pair` for one (J, K) pair: the
+    degree, both subsets' members, the checks run, the witnesses seen, the
+    failures counted, and the first :data:`MAX_FAILURES` of them listed.
+
+    Like :class:`PairFailure` a plain slotted class: each report gets a
+    fresh ``failures`` list, compares and prints by its seven fields, and
+    is unhashable, since the verification updates it in place."""
+
+    __slots__ = ("n", "j_members", "k_members", "checks", "witnesses",
+                 "failure_count", "failures")
+    __hash__ = None
+
+    def __init__(self, n: int, j_members: tuple[int, ...],
+                 k_members: tuple[int, ...], checks: tuple[str, ...],
+                 witnesses: int = 0, failure_count: int = 0,
+                 failures: list[PairFailure] | None = None):
+        self.n = n
+        self.j_members = j_members
+        self.k_members = k_members
+        self.checks = checks
+        self.witnesses = witnesses
+        self.failure_count = failure_count
+        self.failures = [] if failures is None else failures
+
+    def _fields(self) -> tuple:
+        return (self.n, self.j_members, self.k_members, self.checks,
+                self.witnesses, self.failure_count, self.failures)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return ("PairReport(n={!r}, j_members={!r}, k_members={!r}, "
+                "checks={!r}, witnesses={!r}, failure_count={!r}, "
+                "failures={!r})".format(*self._fields()))
 
     @property
     def passed(self) -> bool:

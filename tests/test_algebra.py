@@ -378,6 +378,29 @@ def test_oracle_degree_bound_checked_before_sweep():
     algebra._descent_classes.cache_clear()  # drop the 6.5 MiB S_8 entry
 
 
+def test_oracle_check_builds_no_generator_subset(monkeypatch):
+    # the oracle reads each product term's mask from its composition;
+    # with its caches cleared, the whole check runs cold
+    from descents import GeneratorSubset
+
+    built = []
+    init = GeneratorSubset.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    algebra._solomon.cache_clear()
+    algebra._basis_indicator.cache_clear()
+    monkeypatch.setattr(GeneratorSubset, "__init__", counting_init)
+    kappa, nu = Composition((2, 1, 2)), Composition((1, 3, 1))
+    assert oracle_agrees(kappa, nu)
+    assert oracle_mismatch(nu, kappa) is None
+    assert built == []
+    composition_to_subset(kappa)
+    assert built == [(5, [1, 4])]
+
+
 def test_oracle_agrees_spot_check_degree_six():
     rng = random.Random(5)
     comps = all_compositions(6)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -385,3 +386,20 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout == "B(1,1,1) + B(1,2)\n"
+
+
+def test_cold_import_loads_no_dataclass_or_csv_machinery():
+    # every fresh interpreter (each CLI call, each perfbench worker) pays
+    # for what ``import descents`` loads; csv loads on the first CSV write
+    code = ("import sys; before = set(sys.modules); "
+            "import descents, descents.cli; "
+            "loaded = sorted(set(sys.modules) - before); "
+            "import json; print(json.dumps(loaded))")
+    src = os.path.dirname(os.path.dirname(descents.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads(out.stdout))
+    assert "descents.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "csv"}

@@ -298,6 +298,16 @@ def test_subset_composition_round_trip():
             assert subset_to_composition(j) == kappa
 
 
+def test_composition_mask_is_the_subset_mask():
+    # the proper partial sums of kappa are the indices its subset misses
+    from descents.combinatorics import _composition_mask
+    for n in range(1, 9):
+        for kappa in all_compositions(n):
+            mask = _composition_mask(kappa)
+            assert type(mask) is int
+            assert mask == composition_to_subset(kappa).mask
+
+
 def test_subset_composition_known_values():
     # components of {2,3,7} inside 1..9 have sizes 1,3,1,1,2,1
     j = GeneratorSubset(9, {2, 3, 7})

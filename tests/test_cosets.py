@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -518,3 +520,53 @@ def test_verify_pair_names_a_wrong_prediction(monkeypatch):
     ]
     assert ("  x=1423 [presentation] predicted ({1,2,3,4}) "
             "but components are ({1},{2},{3,4})") in report.to_text()
+
+
+def test_pair_report_value_semantics():
+    # the report types compare, print, pickle and copy by their fields,
+    # and stay unhashable, since a report's failures list grows
+    from descents.cosets import PairFailure, PairReport
+
+    report = verify_subset_pair(GeneratorSubset(3, [1]),
+                                GeneratorSubset(3, [2]))
+    assert repr(report) == (
+        "PairReport(n=3, j_members=(1,), k_members=(2,), checks=("
+        "'presentation', 'reading-word', 'bijection', 'parabolic'), "
+        "witnesses=2, failure_count=0, failures=[])")
+    failure = PairFailure("132", "bijection", "no witness")
+    assert repr(failure) == (
+        "PairFailure(x_text='132', check='bijection', detail='no witness')")
+    failed = PairReport(3, (1,), (2,), ("bijection",), failure_count=1,
+                        failures=[failure])
+    assert repr(failed) == (
+        "PairReport(n=3, j_members=(1,), k_members=(2,), "
+        "checks=('bijection',), witnesses=0, failure_count=1, failures=["
+        "PairFailure(x_text='132', check='bijection', detail='no witness')])")
+
+    again = verify_subset_pair(GeneratorSubset(3, [1]),
+                               GeneratorSubset(3, [2]))
+    assert again == report and not again != report
+    again.witnesses += 1
+    assert again != report
+    assert failure == PairFailure("132", "bijection", "no witness")
+    assert failure != PairFailure("132", "bijection", "other")
+    assert report != (3, (1,), (2,))
+    assert failure != ("132", "bijection", "no witness")
+    for value in (report, failure):
+        with pytest.raises(TypeError):
+            hash(value)
+    for value in (report, failed, failure):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                      copy.deepcopy(value)):
+            assert type(clone) is type(value)
+            assert clone == value
+            assert repr(clone) == repr(value)
+
+    first = PairReport(3, (), (), ())
+    second = PairReport(3, (), (), ())
+    assert first.failures == [] and first.failures is not second.failures
+    first.failures.append(failure)
+    assert second.failures == []
+    assert (first.witnesses, first.failure_count) == (0, 0)
+    assert PairReport(n=3, j_members=(), k_members=(), checks=(),
+                      witnesses=4) == PairReport(3, (), (), (), 4)
