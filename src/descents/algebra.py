@@ -92,16 +92,25 @@ def identity_element(n: int) -> DescentElement:
     return basis_element(Composition((n,)))
 
 
+# One shared Composition per reading word, so the products of degree n
+# hold at most 2**(n-1) key objects however many of them are kept.  4096
+# holds all 4 095 compositions through n=12, in about 0.9 MiB by
+# tracemalloc.  Each word is the non-zero entries of a table, so its
+# parts are positive.
+@lru_cache(maxsize=4096)
+def _term_key(word: tuple[int, ...]) -> Composition:
+    return tuple.__new__(Composition, word)
+
+
 # 4096 holds every basis product at n=7 (64 x 64 pairs), while a full n=8
-# sweep (16 384 pairs) stays bounded
+# sweep (16 384 pairs) stays bounded; the products' keys come from
+# _term_key, which a cache_clear here leaves warm
 @lru_cache(maxsize=4096)
 def _solomon(n: int, kappa: Composition, nu: Composition) -> DescentElement:
     counts = backend.reading_word_counts(nu, kappa, n)
     # the counts are exact and positive: range-check the largest
     check_coefficient(max(counts.values(), default=0))
-    # each word is the non-zero entries of a table: positive parts
-    terms = {tuple.__new__(Composition, word): c
-             for word, c in counts.items()}
+    terms = dict(zip(map(_term_key, counts), counts.values()))
     return DescentElement(n, terms, check=False)
 
 

@@ -1,10 +1,14 @@
+import importlib
 import io
 import itertools
 import math
+import pkgutil
 import random
+import tracemalloc
 
 import pytest
 
+import descents
 from descents import (
     Composition,
     DescentElement,
@@ -125,6 +129,60 @@ def test_product_terms_pass_validation():
                     rebuilt = Composition(eta)
                     assert rebuilt == eta
                     assert rebuilt.n == eta.n == n
+
+
+def test_product_terms_share_one_composition_per_word():
+    # however many products hold a word, they share one key object, so a
+    # degree's products hold at most 2**(n-1) keys; the products are kept
+    # alive so that no id is reused
+    algebra._solomon.cache_clear()
+    for n in range(1, 7):
+        comps = all_compositions(n)
+        products = [solomon_multiply(kappa, nu)
+                    for kappa in comps for nu in comps]
+        keys = [eta for product in products for eta in product.terms]
+        assert all(type(eta) is Composition for eta in keys)
+        shared = {id(eta): eta for eta in keys}
+        assert len(shared) == len(set(keys)) <= 2 ** (n - 1)
+        every = DescentElement(n, dict.fromkeys(comps, 1))
+        for eta in element_multiply(every, every).terms:
+            assert shared.get(id(eta)) is eta
+
+
+def test_cold_products_retain_one_key_per_composition():
+    # the 4 096 products of degree 7, built cold under tracemalloc, retain
+    # 2.62 MiB with one shared key per composition, and 4.42 MiB with a
+    # fresh key per term of each product
+    comps = all_compositions(7)
+    algebra._solomon.cache_clear()
+    backend._merged_row.cache_clear()
+    algebra._term_key.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for kappa in comps:
+            for nu in comps:
+                solomon_multiply(kappa, nu)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 3.5 * 2 ** 20, retained
+
+
+def test_every_package_cache_is_bounded():
+    # every functools cache in the package's modules, at module level or
+    # on a class, has a finite maxsize, so that none grows with the calls
+    sizes = {}
+    for info in pkgutil.iter_modules(descents.__path__):
+        module = importlib.import_module(f"descents.{info.name}")
+        scopes = [vars(module)] + [vars(v) for v in vars(module).values()
+                                   if isinstance(v, type)]
+        for scope in scopes:
+            for name, value in scope.items():
+                if hasattr(value, "cache_info"):
+                    sizes[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert {"algebra._solomon", "backend._merged_row"} <= sizes.keys()
+    assert [name for name, size in sizes.items() if size is None] == []
 
 
 def test_to_group_algebra_is_sum_of_reps():
