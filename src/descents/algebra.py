@@ -106,7 +106,8 @@ def _term_key(word: tuple[int, ...]) -> Composition:
 # sweep (16 384 pairs) stays bounded; the products' keys come from
 # _term_key, which a cache_clear here leaves warm
 @lru_cache(maxsize=4096)
-def _solomon(n: int, kappa: Composition, nu: Composition) -> DescentElement:
+def _solomon(kappa: Composition, nu: Composition) -> DescentElement:
+    n = kappa.n
     counts = backend.reading_word_counts(nu, kappa, n)
     # the counts are exact and positive: range-check the largest
     check_coefficient(max(counts.values(), default=0))
@@ -124,7 +125,7 @@ def solomon_multiply(kappa: Composition, nu: Composition,
     if n != nu.n:
         raise degree_mismatch(n, nu.n)
     check_degree(n, max_degree, BASIS_DEGREE_MAX)
-    return _solomon(n, kappa, nu)
+    return _solomon(kappa, nu)
 
 
 def element_multiply(a: DescentElement, b: DescentElement,
@@ -145,7 +146,7 @@ def element_multiply(a: DescentElement, b: DescentElement,
     for kappa, ca in a.terms.items():
         for nu, cb in b.terms.items():
             scale = ca * cb
-            for eta, c in _solomon(n, kappa, nu).terms.items():
+            for eta, c in _solomon(kappa, nu).terms.items():
                 terms[eta] = get(eta, 0) + scale * c
     return DescentElement(
         n, {eta: check_coefficient(c) for eta, c in terms.items() if c},
@@ -331,9 +332,9 @@ def write_structure_csv(rows: Iterable[tuple[Composition, Composition,
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["kappa", "nu", "eta", "coefficient"])
     for kappa, nu, product in rows:
-        for eta, coeff in product.sorted_terms():
-            writer.writerow([kappa.to_text(), nu.to_text(), eta.to_text(),
-                             coeff])
+        pair = [kappa.to_text(), nu.to_text()]
+        writer.writerows([*pair, eta.to_text(), coeff]
+                         for eta, coeff in product.sorted_terms())
 
 
 def structure_records(n: int,

@@ -101,19 +101,25 @@ def cmd_multiply(args) -> int:
     return 0 if oracle_ok in (None, True) else 1
 
 
-def _verify_pair_scope(n: int, parabolic: bool) -> tuple[bool, dict]:
+#: verify's scopes and their default degree bounds, in output order.
+_SCOPES = (("lemma", LEMMA_DEGREE_DEFAULT), ("oracle", ORACLE_DEGREE_DEFAULT),
+           ("parabolic", PARABOLIC_DEGREE_DEFAULT))
+
+
+def _verify_pair_scope(n: int, parabolic: bool) -> dict:
     subsets = all_generator_subsets(n)
-    reports = [verify_subset_pair(j, k, parabolic=parabolic, max_degree=n)
-               for j in subsets for k in subsets]
-    failures = sum(r.failure_count for r in reports)
-    stats = {"pairs": len(reports)}
-    if not parabolic:
-        stats["witnesses"] = sum(r.witnesses for r in reports)
-    stats["failures"] = failures
-    return failures == 0, stats
+    stats = {"pairs": len(subsets) ** 2, "witnesses": 0, "failures": 0}
+    for j in subsets:
+        for k in subsets:
+            r = verify_subset_pair(j, k, parabolic=parabolic, max_degree=n)
+            stats["witnesses"] += r.witnesses
+            stats["failures"] += r.failure_count
+    if parabolic:
+        del stats["witnesses"]
+    return stats
 
 
-def _verify_oracle_scope(n: int, seed: int) -> tuple[bool, dict]:
+def _verify_oracle_scope(n: int, seed: int) -> dict:
     comps = all_compositions(n)
     if n <= ORACLE_EXHAUSTIVE_MAX:
         pairs = [(kappa, nu) for kappa in comps for nu in comps]
@@ -125,71 +131,53 @@ def _verify_oracle_scope(n: int, seed: int) -> tuple[bool, dict]:
         mode = f"sampled, seed={seed}"
     failures = sum(1 for kappa, nu in pairs
                    if not oracle_agrees(kappa, nu, max_degree=n))
-    return failures == 0, {"pairs": len(pairs), "mode": mode,
-                           "failures": failures}
+    return {"pairs": len(pairs), "mode": mode, "failures": failures}
 
 
 def cmd_verify(args) -> int:
-    scopes = [name for name, on in
-              (("lemma", args.lemma), ("oracle", args.oracle),
-               ("parabolic", args.parabolic)) if on]
-    run_all = args.all or not scopes
-    if run_all:
-        scopes = ["lemma", "oracle", "parabolic"]
-
-    bounds = {"lemma": LEMMA_DEGREE_DEFAULT,
-              "oracle": ORACLE_DEGREE_DEFAULT,
-              "parabolic": PARABOLIC_DEGREE_DEFAULT}
+    n = args.n
+    run_all = args.all or not any(getattr(args, s) for s, _ in _SCOPES)
+    # every selected bound is checked before any scope runs
     selected = []
-    for scope in scopes:
-        if args.n > bounds[scope]:
+    for scope, bound in _SCOPES:
+        if not (run_all or getattr(args, scope)):
+            continue
+        if n > bound:
             if run_all and scope == "parabolic":
-                selected.append((scope, "skip"))
+                selected.append((scope, {"reason": f"n>{bound}"}))
                 continue
-            if args.max_n is None or args.max_n < args.n:
+            if args.max_n is None or args.max_n < n:
                 raise ValueError(
-                    f"degree {args.n} above the {scope} bound "
-                    f"{bounds[scope]}; pass --max-n {args.n} to override, "
-                    "or pick a narrower scope")
-            _warn_bound(scope, args.n, bounds[scope])
-        selected.append((scope, "run"))
+                    f"degree {n} above the {scope} bound {bound}; pass "
+                    f"--max-n {n} to override, or pick a narrower scope")
+            _warn_bound(scope, n, bound)
+        selected.append((scope, None))
 
     results = []
-    ok = True
-    for scope, action in selected:
-        if action == "skip":
-            results.append((scope, None, {"reason":
-                                          f"n>{bounds[scope]}"}))
-            continue
-        if scope == "oracle":
-            passed, stats = _verify_oracle_scope(args.n, args.seed)
-        else:
-            passed, stats = _verify_pair_scope(args.n,
-                                               parabolic=scope == "parabolic")
-        ok = ok and passed
-        results.append((scope, passed, stats))
+    for scope, stats in selected:
+        status = "SKIP"
+        if stats is None:
+            stats = (_verify_oracle_scope(n, args.seed) if scope == "oracle"
+                     else _verify_pair_scope(n, scope == "parabolic"))
+            status = "FAIL" if stats["failures"] else "PASS"
+        results.append((scope, status, stats))
+    overall = "FAIL" if any(s == "FAIL" for _, s, _ in results) else "PASS"
 
     if args.format == "structured":
         _emit_json({
             "schema_version": 1,
             "kind": "descent-algebra-verification",
-            "n": args.n,
-            "scopes": [
-                {"scope": scope,
-                 "status": ("SKIP" if passed is None
-                            else "PASS" if passed else "FAIL"),
-                 **stats}
-                for scope, passed, stats in results],
-            "overall": "PASS" if ok else "FAIL",
+            "n": n,
+            "scopes": [{"scope": scope, "status": status, **stats}
+                       for scope, status, stats in results],
+            "overall": overall,
         })
     else:
-        for scope, passed, stats in results:
-            status = ("SKIP" if passed is None
-                      else "PASS" if passed else "FAIL")
+        for scope, status, stats in results:
             detail = ", ".join(f"{k}={v}" for k, v in stats.items())
             print(f"{scope}: {status} ({detail})")
-        print(f"overall: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+        print(f"overall: {overall}")
+    return 0 if overall == "PASS" else 1
 
 
 def cmd_table(args) -> int:

@@ -137,6 +137,12 @@ def test_verify_single_scope(capsys):
     assert rc == 0
     assert out == ("lemma: PASS (pairs=64, witnesses=281, failures=0)\n"
                    "overall: PASS\n")
+    # scopes print in their fixed order, not in the order of the flags
+    rc, out, _ = run_cli(capsys, "verify", "3", "--parabolic", "--lemma")
+    assert rc == 0
+    assert out == ("lemma: PASS (pairs=16, witnesses=33, failures=0)\n"
+                   "parabolic: PASS (pairs=16, failures=0)\n"
+                   "overall: PASS\n")
 
 
 def test_verify_lemma_counts_bijection_failures(capsys, monkeypatch):
@@ -199,19 +205,36 @@ def test_verify_all_skips_parabolic_above_five(capsys, monkeypatch):
         return True
 
     monkeypatch.setattr(cli, "oracle_agrees", agrees)
-    rc, out, _ = run_cli(capsys, "verify", "6", "--all")
     comps = descents.all_compositions(6)
-    assert sorted(seen) == sorted((k, nu) for k in comps for nu in comps)
-    assert len(seen) == 1024
-    assert rc == 0
-    assert "parabolic: SKIP (reason=n>5)" in out
-    assert out.endswith("overall: PASS\n")
+    # --max-n does not bring the skipped scope back, nor warn about it
+    for extra in ((), ("--max-n", "6"), ("--format", "structured")):
+        seen.clear()
+        rc, out, err = run_cli(capsys, "verify", "6", "--all", *extra)
+        assert sorted(seen) == sorted((k, nu) for k in comps for nu in comps)
+        assert len(seen) == 1024
+        assert rc == 0
+        assert err == ""
+        if "structured" in extra:
+            record = json.loads(out)
+            assert record["scopes"][2] == {
+                "scope": "parabolic", "status": "SKIP", "reason": "n>5"}
+            assert record["overall"] == "PASS"
+        else:
+            assert "parabolic: SKIP (reason=n>5)" in out
+            assert out.endswith("overall: PASS\n")
 
 
-def test_verify_explicit_scope_over_bound_errors(capsys):
-    rc, _, err = run_cli(capsys, "verify", "6", "--parabolic")
-    assert rc == 2
-    assert "above the parabolic bound 5" in err
+def test_verify_explicit_scope_over_bound_errors(capsys, monkeypatch):
+    # every selected bound is checked before any scope runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran a scope before checking every bound")
+
+    monkeypatch.setattr(cli, "oracle_agrees", no_work)
+    for scopes in (("--parabolic",), ("--oracle", "--parabolic")):
+        rc, out, err = run_cli(capsys, "verify", "6", *scopes)
+        assert rc == 2
+        assert out == ""
+        assert "above the parabolic bound 5" in err
 
 
 def test_verify_scope_bound_override(capsys):
