@@ -10,10 +10,13 @@ generator i), and so are descent sets.  ``X_K`` is listed by a forward
 walk over K's blocks of positions, and each representative is stored
 with the descent mask of its inverse, so the double set is ``X_K``
 filtered by one test against J's mask.  Each subset's blocks and the block
-index of every vertex are cached under its degree and mask, so one pass
-over a representative's images places each position in its intersection.
-A witness's intersection graph is the graph of ``x^{-1} J x & K``, whose
-mask is read from x's adjacent values and looked up in the same cache.
+index of every vertex are cached under its degree and mask.  From them
+each pair gets a grid that maps a position and its value to the key of
+the intersection holding it, so a representative is read as one list of
+cell keys, in C: counted, the keys give its table, and grouped, its
+predicted presentation.  A witness's intersection graph is the graph of
+``x^{-1} J x & K``, whose mask is read from x's adjacent values and looked
+up in the subset cache.
 
 >>> from .combinatorics import GeneratorSubset
 >>> k = GeneratorSubset(3, [2])
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import getitem
 from typing import Iterator
 
 from .combinatorics import (
@@ -153,23 +157,40 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
             yield x
 
 
-def _cells(images: tuple[int, ...], j_data, k_data) -> dict[int, list[int]]:
-    """The non-empty ``x^{-1}(J_q) & K_m``, each the list of its positions
-    in increasing order, keyed by ``m * r + q`` for r blocks of J, with
-    ``J_q`` and ``K_m`` in the order of their subset graph's ordered
-    presentation; ``j_data`` and ``k_data`` are the subsets'
-    :func:`_subset_data`.
+@lru_cache(maxsize=8)
+def _key_grid(n: int, j_mask: int, k_mask: int) -> tuple[
+        tuple[list[int], ...], int, int, list[int]]:
+    """For the pair of subsets of degree n with these masks: the key grid,
+    r (J's block count), the cell count r * c, and the list ``1..n``.
 
-    Position p lies in ``K_m`` for ``m = where_K[p]``, and in
-    ``x^{-1}(J_q)`` for ``q = where_J[x(p)]``, so one pass over the images
-    drops each position into its cell, and opens only the cells it
-    meets: at most n of the r * c."""
-    r = len(j_data[0])
-    j_where, k_where = j_data[2], k_data[2]
-    cells: dict[int, list[int]] = {}
-    for p, v in enumerate(images, 1):
-        cells.setdefault(k_where[p] * r + j_where[v], []).append(p)
-    return cells
+    Cell ``(m, q)`` holds ``x^{-1}(J_q) & K_m`` and has key ``m * r + q``,
+    the blocks in :func:`_subset_data` order.  Position p lies in ``K_m``
+    for ``m = where_K[p]`` and in ``x^{-1}(J_q)`` for ``q = where_J[x(p)]``,
+    so grid row p-1 maps each value v to ``where_K[p] * r + where_J[v]``.
+    A pair's witnesses are read one after another, so a few entries
+    serve.  The rows are lists: evicted row tuples of n+1 ints would pile
+    up on the interpreter's free list for tuples of that length."""
+    j_blocks, _, j_where = _subset_data(n, j_mask)
+    k_blocks, _, k_where = _subset_data(n, k_mask)
+    r = len(j_blocks)
+    grid = tuple([k_where[p] * r + q for q in j_where]
+                 for p in range(1, n + 1))
+    return grid, r, r * len(k_blocks), list(range(1, n + 1))
+
+
+def _keys(x: Permutation, grid) -> list[int]:
+    """The cell key of each position of x, in position order, read off
+    the pair's :func:`_key_grid` in one C-level pass."""
+    return list(map(getitem, grid, x))
+
+
+def _counts(keys: list[int], size: int) -> list[int]:
+    """How many keys fall in each of the ``size`` cells, in key order:
+    the intersection table, flattened row by row."""
+    counts = [0] * size
+    for key in keys:
+        counts[key] += 1
+    return counts
 
 
 def _table(counts: list[int], r: int) -> MarginMatrix:
@@ -179,28 +200,37 @@ def _table(counts: list[int], r: int) -> MarginMatrix:
     return tuple.__new__(MarginMatrix, zip(*[iter(counts)] * r))
 
 
-def _check_double_rep(x: Permutation, j: GeneratorSubset,
-                      k: GeneratorSubset) -> None:
-    """Raise unless x is a double representative of the pair."""
-    if x.n != j.n or j.n != k.n:
-        raise degree_mismatch(x.n, j.n, k.n)
-    # one pass over the images, v = x(p+1): x descends at p when
-    # x(p) > x(p+1), and x^{-1} descends at v-1 when v stands before v-1,
-    # that is when v-1 is not yet read (``seen`` has bit v for each value
-    # v read, and bit 0); both masks set bit h-1 for a descent at h
-    descents = inverse_descents = 0
-    seen = 1
-    prev = 0
-    for p, v in enumerate(x):
-        if prev > v:
-            descents |= 1 << (p - 1)
-        if not seen >> (v - 1) & 1:
-            inverse_descents |= 1 << (v - 2)
-        seen |= 1 << v
-        prev = v
-    if descents & k.mask or inverse_descents & j.mask:
+def _prediction(keys: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The non-empty cells in key order, each the tuple of its positions in
+    increasing order: the predicted presentation, as plain tuples."""
+    cells: dict[int, list[int]] = {}
+    for p, key in enumerate(keys, 1):
+        cells.setdefault(key, []).append(p)
+    return tuple(tuple(cells[key]) for key in sorted(cells))
+
+
+def _witness_keys(x: Permutation, j: GeneratorSubset,
+                  k: GeneratorSubset) -> tuple[list[int], int, int]:
+    """x's key list, r and the cell count; raise unless x is a double
+    representative of the pair.
+
+    It is one exactly when its keys never fall along the positions and a
+    stable sort of x by the J block of each value gives ``1..n``; the
+    second condition says x^{-1} lies in ``X_J``.  Given it, keys that
+    never fall make x ascend inside each block of K: two neighbours there
+    lie in J blocks in increasing order, or in one J block, whose values
+    stand in increasing order.  Conversely an x in ``X_K`` ascends inside
+    each block of K, so its keys never fall."""
+    n = j.n
+    if len(x) != n or n != k.n:
+        raise degree_mismatch(len(x), n, k.n)
+    grid, r, size, identity = _key_grid(n, j.mask, k.mask)
+    keys = _keys(x, grid)
+    # grid row 0 is K's first block, so it maps v to the block of v in J
+    if keys != sorted(keys) or sorted(x, key=grid[0].__getitem__) != identity:
         raise ValueError(
             f"{x.to_text()} is not a double representative for the given pair")
+    return keys, r, size
 
 
 def intersection_table(x: Permutation, j: GeneratorSubset,
@@ -211,31 +241,23 @@ def intersection_table(x: Permutation, j: GeneratorSubset,
     ``K_m`` run over the ordered components of the two subset graphs.  Rows
     therefore sum to the composition of K and columns to the composition of
     J, and on the double set the map is a bijection onto all margin
-    matrices.  x is first checked to be a double representative.  Each
-    position p of x is then counted in cell ``(where_K[p], where_J[x(p)])``
-    of one flat list, in one pass, with no inverse, no set operations and
-    no list of positions.
+    matrices.  x's key list (:func:`_key_grid`) is read once, in C; it
+    shows whether x is a double representative, and counting its keys
+    gives the table, with no inverse, no set operations and no list of
+    positions.
     """
-    _check_double_rep(x, j, k)
-    j_blocks, _, j_where = _subset_data(j.n, j.mask)
-    k_blocks, _, k_where = _subset_data(k.n, k.mask)
-    r = len(j_blocks)
-    counts = [0] * (r * len(k_blocks))
-    for p, v in enumerate(x, 1):
-        counts[k_where[p] * r + j_where[v]] += 1
-    return _table(counts, r)
+    keys, r, size = _witness_keys(x, j, k)
+    return _table(_counts(keys, size), r)
 
 
 def predicted_presentation(x: Permutation, j: GeneratorSubset,
                            k: GeneratorSubset) -> OrderedPresentation:
     """The intersections ``x^{-1}(J_q) & K_m`` listed q-inner, empty ones
-    dropped: the non-empty cells in key order.  For a double
-    representative this lists the components of the intersection graph in
-    least-element order; the presentation is validated, so a list out of
-    that order is rejected."""
-    _check_double_rep(x, j, k)
-    cells = _cells(x, _subset_data(j.n, j.mask), _subset_data(k.n, k.mask))
-    return OrderedPresentation(map(cells.__getitem__, sorted(cells)))
+    dropped: the positions grouped by x's key list, in key order.  For a
+    double representative this lists the components of the intersection
+    graph in least-element order; the presentation is validated, so a
+    list out of that order is rejected."""
+    return OrderedPresentation(_prediction(_witness_keys(x, j, k)[0]))
 
 
 def _presentation_subgroup(blocks) -> set[Permutation]:
@@ -358,25 +380,30 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                        max_degree: int | None = None) -> PairReport:
     """Check every double representative of a pair against four claims.
 
-    The block intersections ``x^{-1}(J_q) & K_m`` of each witness x,
-    found by one pass over its images, give its predicted presentation
-    (the non-empty ones, q inner) and its intersection table (their
-    sizes).
+    Each witness x is read as one list of cell keys, the key of position
+    p naming the block intersection ``x^{-1}(J_q) & K_m`` that holds it
+    (:func:`_key_grid`).  Counting the keys gives its intersection table,
+    and grouping the positions by key, in key order, its predicted
+    presentation (the non-empty intersections, q inner).
 
     * ``presentation`` - the predicted presentation equals the ordered
       presentation of the intersection graph ``x^{-1}(graph J) & graph K``:
       the cached blocks of the subset ``x^{-1} J x & K`` (:func:`_meet`).
-      They always pass the checked :class:`OrderedPresentation`
-      constructor, so the prediction is compared with them as a plain
-      tuple, and only a prediction that differs is built checked: the
-      failure reads ``prediction rejected: ...`` when it is no
-      presentation, and ``predicted ... but components are ...`` otherwise;
+      Those blocks split ``1..n`` into intervals in order, so they equal
+      the prediction exactly when the keys never fall along the
+      positions and the table's reading word is the blocks' sizes.  Only
+      a witness that fails this test has its prediction built, as plain
+      tuples, and only a prediction that differs from the blocks is
+      built checked: the failure reads ``prediction rejected: ...`` when
+      it is no presentation, and ``predicted ... but components are ...``
+      otherwise;
     * ``reading-word`` - that subset's composition equals the reading
       word of the intersection table of x;
     * ``bijection`` - no two witnesses share a table, and the tables hit
       are exactly the margin matrices of the pair: each repeated, missing
       or foreign table is one failure naming it (x ``-`` when no witness
-      hits it);
+      hits it).  The tables hit are compared with the margin matrices as
+      two sets, and both lists are walked only when they differ;
     * ``parabolic`` (degree <= 5 unless forced) - conjugating the Young
       subgroup of J by x and intersecting with the Young subgroup of K
       yields exactly the Young subgroup of the intersection graph.
@@ -396,11 +423,9 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
         checks.append("parabolic")
     report = PairReport(n, j.members, k.members, tuple(checks))
 
-    j_data, k_data = _subset_data(n, j.mask), _subset_data(n, k.mask)
-    j_blocks, kappa, _ = j_data
-    k_blocks, nu, _ = k_data
-    r = len(kappa)
-    size = r * len(nu)
+    j_blocks, kappa, _ = _subset_data(n, j.mask)
+    k_blocks, nu, _ = _subset_data(n, k.mask)
+    grid, r, size, _ = _key_grid(n, j.mask, k.mask)
     if parabolic:
         j_subgroup = _presentation_subgroup(j_blocks)
         k_subgroup = _presentation_subgroup(k_blocks)
@@ -417,30 +442,28 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
         report.witnesses += 1
         meet = _meet(x, j, k)
         computed, sizes, _ = _subset_data(n, meet)
-        cells = _cells(x, j_data, k_data)
-        predicted = tuple(map(tuple, map(cells.__getitem__, sorted(cells))))
-        # a prediction equal to computed passes the check as computed does;
-        # the checked build sorts each block, so it is compared again
-        if predicted != computed:
-            try:
-                predicted = OrderedPresentation(predicted)
-            except ValueError as exc:
-                fail(x, "presentation", f"prediction rejected: {exc}")
-            else:
-                if predicted != computed:
+        keys = _keys(x, grid)
+        counts = _counts(keys, size)
+        # the table's reading word: its non-zero counts in row-major order
+        word = tuple(filter(None, counts))
+        if sizes != word or keys != sorted(keys):
+            # the prediction lists each block's positions in increasing
+            # order, so the checked build changes none of them
+            predicted = _prediction(keys)
+            if predicted != computed:
+                try:
+                    predicted = OrderedPresentation(predicted)
+                except ValueError as exc:
+                    fail(x, "presentation", f"prediction rejected: {exc}")
+                else:
                     fail(x, "presentation",
                          f"predicted {predicted.to_text()} "
                          f"but components are {computed.to_text()}")
-        counts = [0] * size
-        for key, cell in cells.items():
-            counts[key] = len(cell)
+            if sizes != word:
+                fail(x, "reading-word",
+                     f"component sizes {tuple(sizes)} "
+                     f"!= reading word {tuple(word)}")
         table = _table(counts, r)
-        # the table's reading word: its non-zero counts in row-major order
-        word = tuple(filter(None, counts))
-        if sizes != word:
-            fail(x, "reading-word",
-                 f"component sizes {tuple(sizes)} "
-                 f"!= reading word {tuple(word)}")
         if table in hit:
             fail(x, "bijection", f"table {table.to_text()} "
                                  f"already hit by {hit[table].to_text()}")
@@ -458,11 +481,13 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
 
     tables = list(contingency_tables(nu, kappa, max_degree=max_degree))
     reference = set(tables)
-    for table, x in hit.items():
-        if table not in reference:
-            fail(x, "bijection",
-                 f"table {table.to_text()} is not a margin matrix of the pair")
-    for table in tables:
-        if table not in hit:
-            fail(None, "bijection", f"no witness hits table {table.to_text()}")
+    if hit.keys() != reference:
+        for table, x in hit.items():
+            if table not in reference:
+                fail(x, "bijection", f"table {table.to_text()} "
+                                     "is not a margin matrix of the pair")
+        for table in tables:
+            if table not in hit:
+                fail(None, "bijection",
+                     f"no witness hits table {table.to_text()}")
     return report

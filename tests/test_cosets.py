@@ -423,23 +423,19 @@ def test_verify_pair_bijection_names_repeated_table(monkeypatch):
     assert "123" in repeated[0].detail
 
 
-class RowsSwappedCounts(dict):
-    """Cells of a two-by-two table whose counts are filed with the rows
-    swapped (key ``m * 2 + q`` as ``(1 - m) * 2 + q``), while the
-    presentation, read by key, stays right."""
-
-    def items(self):
-        return [(key ^ 2, cell) for key, cell in super().items()]
-
-
 def test_verify_pair_names_a_wrong_reading_word(monkeypatch):
     # tables counted with their rows reversed: the witness 231's table
     # [1 0; 0 2] reads 1,2 against its components' sizes 2,1, and neither
-    # table is a margin matrix of the pair
-    real = descents.cosets._cells
-    monkeypatch.setattr(
-        descents.cosets, "_cells",
-        lambda *args: RowsSwappedCounts(real(*args)))
+    # table is a margin matrix of the pair; the presentation, read off
+    # the keys, stays right
+    real = descents.cosets._counts
+
+    def rows_swapped(keys, size):
+        # two rows of two: key m * 2 + q is counted as (1 - m) * 2 + q
+        counts = real(keys, size)
+        return counts[2:] + counts[:2]
+
+    monkeypatch.setattr(descents.cosets, "_counts", rows_swapped)
     report = verify_subset_pair(GeneratorSubset(3, {2}),
                                 GeneratorSubset(3, {1}))
     foreign = "is not a margin matrix of the pair"
@@ -469,26 +465,27 @@ def test_verify_pair_names_a_wrong_conjugate(monkeypatch):
             "Young subgroup has 1") in empty.to_text().splitlines()
 
 
-def _patch_cells(monkeypatch, fault):
-    real = descents.cosets._cells
+def _patch_keys(monkeypatch, fault):
+    real = descents.cosets._keys
 
-    def faulty(images, j_data, k_data):
-        return fault(real(images, j_data, k_data))
+    def faulty(x, grid):
+        return fault(real(x, grid))
 
-    monkeypatch.setattr(descents.cosets, "_cells", faulty)
+    monkeypatch.setattr(descents.cosets, "_keys", faulty)
 
 
 def test_verify_pair_names_a_prediction_out_of_order(monkeypatch):
-    # swapping the lists of a witness's first two cells lists a block
-    # before one with a smaller least element, which the checked
-    # constructor rejects
-    def swap_first_two(cells):
-        if len(cells) >= 2:
-            a, b = sorted(cells)[:2]
-            cells[a], cells[b] = cells[b], cells[a]
-        return cells
+    # swapping the labels of a witness's two least keys trades the
+    # positions of its first two cells, which lists a block before one
+    # with a smaller least element: the checked constructor rejects it
+    def swap_first_two(keys):
+        labels = sorted(set(keys))
+        if len(labels) < 2:
+            return keys
+        a, b = labels[:2]
+        return [b if key == a else a if key == b else key for key in keys]
 
-    _patch_cells(monkeypatch, swap_first_two)
+    _patch_keys(monkeypatch, swap_first_two)
     j = GeneratorSubset(4, {2})
     k = GeneratorSubset(4, {1, 3})
     report = verify_subset_pair(j, k, parabolic=False)
@@ -501,12 +498,12 @@ def test_verify_pair_names_a_prediction_out_of_order(monkeypatch):
 
 
 def test_verify_pair_names_a_wrong_prediction(monkeypatch):
-    # one block holding every position is a presentation, but not the
-    # components of the intersection graph
-    def merge_all(cells):
-        return {min(cells): [p for key in sorted(cells) for p in cells[key]]}
+    # every position given the least key makes one block of them all: a
+    # presentation, but not the components of the intersection graph
+    def merge_all(keys):
+        return [min(keys)] * len(keys)
 
-    _patch_cells(monkeypatch, merge_all)
+    _patch_keys(monkeypatch, merge_all)
     j = GeneratorSubset(4, {2})
     k = GeneratorSubset(4, {1, 3})
     report = verify_subset_pair(j, k, parabolic=False)
@@ -520,6 +517,88 @@ def test_verify_pair_names_a_wrong_prediction(monkeypatch):
     ]
     assert ("  x=1423 [presentation] predicted ({1,2,3,4}) "
             "but components are ({1},{2},{3,4})") in report.to_text()
+
+
+def test_verify_pair_names_a_witness_listed_twice(monkeypatch):
+    # the double set yields the very same witness object a second time:
+    # the table it hits again was hit by that object, and the repeat is
+    # still named
+    j = GeneratorSubset(3, {2})
+    k = GeneratorSubset(3, {1})
+    real = list(enumerate_double_set(j, k))
+    monkeypatch.setattr(descents.cosets, "enumerate_double_set",
+                        lambda j, k, max_degree=None: iter(real + real[:1]))
+    report = verify_subset_pair(j, k)
+    assert report.to_text().splitlines() == [
+        "FAIL n=3 J={2} K={1} witnesses=3",
+        "  failures: 1",
+        "  x=123 [bijection] table [1 1; 0 1] already hit by 123",
+    ]
+
+
+def test_verify_pair_presentation_shortcut_is_exact(monkeypatch):
+    # verify_subset_pair builds a witness's prediction only when its keys
+    # fall along the positions or its reading word is not the blocks'
+    # sizes; that must happen exactly when the prediction differs from
+    # the blocks.  Every permutation of S_n is fed in as a witness once
+    # for each meet mask inside K, and each half of the test is seen
+    # deciding some cases alone
+    cosets = descents.cosets
+    state = {}
+    built = []
+
+    def prediction(keys):
+        # record the build, and pass the check: only when it runs matters
+        built.append(state["index"])
+        return state["blocks"][state["meet"]]
+
+    def witnesses(j, k, max_degree=None):
+        for index, (x, meet) in enumerate(state["items"]):
+            state["index"], state["meet"] = index, meet
+            yield x
+
+    monkeypatch.setattr(cosets, "_prediction", prediction)
+    monkeypatch.setattr(cosets, "enumerate_double_set", witnesses)
+    monkeypatch.setattr(cosets, "_meet", lambda x, j, k: state["meet"])
+    # the tables play no part here: each witness gets its own, and those
+    # are the margin matrices, so no bijection failure is formatted
+    monkeypatch.setattr(cosets, "_table", lambda counts, r: state["index"])
+    monkeypatch.setattr(cosets, "contingency_tables",
+                        lambda *args, **kwargs: range(len(state["items"])))
+    alone = {"keys fall": 0, "sizes differ": 0}
+    for n in range(1, 6):
+        subsets = all_generator_subsets(n)
+        blocks = state["blocks"] = {
+            j.mask: ordered_presentation(graph_of_subset(j)) for j in subsets}
+        group = [Permutation(p)
+                 for p in itertools.permutations(range(1, n + 1))]
+        for j in subsets:
+            for k in subsets:
+                meets = [m for m in range(k.mask + 1) if not m & ~k.mask]
+                state["items"] = [(x, m) for x in group for m in meets]
+                want = []
+                for x in group:
+                    # the cells from set intersections, in key order
+                    xi = x.inverse()
+                    pulled = [{xi[v - 1] for v in block}
+                              for block in blocks[j.mask]]
+                    cells = [tuple(sorted(pb & set(km)))
+                             for km in blocks[k.mask] for pb in pulled]
+                    predicted = tuple(filter(None, cells))
+                    key_of = {p: key for key, cell in enumerate(cells)
+                              for p in cell}
+                    keys = [key_of[p] for p in range(1, n + 1)]
+                    falls = keys != sorted(keys)
+                    word = tuple(map(len, predicted))
+                    for m in meets:
+                        differs = word != tuple(map(len, blocks[m]))
+                        want.append(predicted != blocks[m])
+                        alone["keys fall"] += falls and not differs
+                        alone["sizes differ"] += differs and not falls
+                built.clear()
+                verify_subset_pair(j, k, parabolic=False)
+                assert built == [i for i, w in enumerate(want) if w], (n, j, k)
+    assert all(alone.values()), alone
 
 
 def test_pair_report_value_semantics():
