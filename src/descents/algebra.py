@@ -10,13 +10,14 @@ its reading word, so
 The group-algebra oracle recomputes the same product by brute force from
 the defining sums and must agree exactly.  :func:`oracle_agrees` compares
 the two in the byte words that :func:`backend.convolve` returns for the two
-cached indicators: S_n's permutations are listed once per degree by descent
-class, also as byte words, and every word of a class must carry the table
-product's weight on that class, while the classes of non-zero weight hold
-the convolution's whole support.  Elements of both algebras share one
-base, ``perms._IntegerCombination``, for their coefficient arithmetic;
-:func:`to_group_algebra` and :func:`oracle_multiply` build them, as the
-reference the lean comparison must match.
+indicators: S_n's permutations are listed once per degree by descent class,
+as byte words only, each indicator is read off the classes its composition
+allows, and every word of a class must carry the table product's weight on
+that class, while the classes of non-zero weight hold the convolution's
+whole support.  Elements of both algebras share one base,
+``perms._IntegerCombination``, for their coefficient arithmetic;
+:func:`to_group_algebra` and :func:`oracle_multiply` build them from the
+same word list, as the reference the lean comparison must match.
 
 >>> kappa, nu = Composition((2, 1)), Composition((1, 2))
 >>> str(solomon_multiply(kappa, nu))
@@ -153,26 +154,22 @@ def element_multiply(a: DescentElement, b: DescentElement,
         check=False)
 
 
-# One entry per degree: S_n's permutations, listed once by descent set
-# (index d has bit h-1 set for each descent h), in lexicographic order
-# within each class, each class also as the same images' byte words.  An
-# entry lists 720 permutations in 32 classes at n=6 (0.11 MiB by
-# tracemalloc), 5 040 in 64 at n=7 (0.78 MiB) and 40 320 in 128 at n=8
-# (6.5 MiB); four entries cover the degrees a sweep moves between, and
-# n=5..8 together hold 7.4 MiB.
+# One entry per degree: S_n's permutations as byte words of their images,
+# listed once by descent set (index d has bit h-1 set for each descent h),
+# in lexicographic order within each class.  An entry lists 720 words in
+# 32 classes at n=6 (0.03 MiB by tracemalloc), 5 040 in 64 at n=7 (0.23 MiB)
+# and 40 320 in 128 at n=8 (1.9 MiB); four entries cover the degrees a
+# sweep moves between, and n=5..8 together hold 2.2 MiB.
 @lru_cache(maxsize=4)
-def _descent_classes(n: int
-                     ) -> tuple[tuple[tuple[Permutation, ...],
-                                      tuple[bytes, ...]], ...]:
-    classes: list[list[Permutation]] = [[] for _ in range(1 << (n - 1))]
+def _descent_classes(n: int) -> tuple[tuple[bytes, ...], ...]:
+    classes: list[list[bytes]] = [[] for _ in range(1 << (n - 1))]
     for images in itertools.permutations(range(1, n + 1)):
         d = 0
         for h in range(n - 1):
             if images[h] > images[h + 1]:
                 d |= 1 << h
-        classes[d].append(tuple.__new__(Permutation, images))
-    return tuple((tuple(members), tuple(map(bytes, members)))
-                 for members in classes)
+        classes[d].append(bytes(images))
+    return tuple(map(tuple, classes))
 
 
 def _class_weights(a: DescentElement) -> list[int]:
@@ -193,20 +190,13 @@ def to_group_algebra(a: DescentElement,
                      max_degree: int | None = None) -> GroupAlgebraElement:
     """Expand into the group algebra: each ``B(eta)`` becomes the sum of
     its coset representatives, so each descent class's weight
-    (:func:`_class_weights`) goes to every cached permutation of it."""
+    (:func:`_class_weights`) goes to the permutation of every word listed
+    in that class."""
     check_degree(a.n, max_degree, ORACLE_DEGREE_DEFAULT)
-    terms: dict[Permutation, int] = {}
-    for (members, _), w in zip(_descent_classes(a.n), _class_weights(a)):
-        if w:
-            terms.update(dict.fromkeys(members, w))
+    terms = {tuple.__new__(Permutation, z): w
+             for words, w in zip(_descent_classes(a.n), _class_weights(a))
+             if w for z in words}
     return GroupAlgebraElement(a.n, terms, check=False)
-
-
-# 256 holds the indicators of all 127 compositions through n=7; the
-# caller has checked the degree bound, so one entry serves every bound
-@lru_cache(maxsize=256)
-def _basis_indicator(n: int, kappa: Composition) -> GroupAlgebraElement:
-    return to_group_algebra(basis_element(kappa), max_degree=n)
 
 
 def oracle_multiply(kappa: Composition, nu: Composition,
@@ -220,8 +210,10 @@ def oracle_multiply(kappa: Composition, nu: Composition,
     if n != nu.n:
         raise degree_mismatch(n, nu.n)
     check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
-    return algebra_multiply(_basis_indicator(n, kappa),
-                            _basis_indicator(n, nu))
+    # the bound is checked, so both expansions accept degree n
+    x_kappa, x_nu = (to_group_algebra(basis_element(comp), max_degree=n)
+                     for comp in (kappa, nu))
+    return algebra_multiply(x_kappa, x_nu)
 
 
 def oracle_mismatch(kappa: Composition, nu: Composition,
@@ -236,13 +228,14 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
     The verdict is what comparing ``to_group_algebra(solomon_multiply(kappa,
     nu))`` with ``oracle_multiply(kappa, nu)`` gives, reached without
     building either element, in the byte words that
-    :func:`backend.convolve` returns for the two cached indicators.  Each
-    descent class's words must all carry the class's weight in the
-    convolution, zero weights included, and the classes of non-zero
-    weight must hold the convolution's whole support, so that no word
-    outside S_n's permutations is left.  Only a mismatch builds the table
-    product's ``{word: coefficient}`` dict, to find the smallest word that
-    differs.
+    :func:`backend.convolve` returns for the two indicators, each read off
+    the descent classes whose index misses its composition's mask, as
+    ``(word, 1)`` pairs.  Each descent class's words must all carry the
+    class's weight in the convolution, zero weights included, and the
+    classes of non-zero weight must hold the convolution's whole support,
+    so that no word outside S_n's permutations is left.  Only a mismatch
+    builds the table product's ``{word: coefficient}`` dict, to find the
+    smallest word that differs.
     """
     n = kappa.n
     if n != nu.n:
@@ -250,13 +243,15 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
     check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
     weights = _class_weights(solomon_multiply(kappa, nu,
                                               max_degree=max_degree))
-    # through the module attribute, so a wrapper on it sees every check
-    oracle = backend.convolve(n, _basis_indicator(n, kappa).terms.items(),
-                              _basis_indicator(n, nu).terms.items())
     classes = _descent_classes(n)
+    x_kappa, x_nu = ([(z, 1) for d, words in enumerate(classes)
+                      if not d & mask for z in words]
+                     for mask in map(_composition_mask, (kappa, nu)))
+    # through the module attribute, so a wrapper on it sees every check
+    oracle = backend.convolve(n, x_kappa, x_nu)
     get = oracle.get
     support = 0
-    for (_, words), w in zip(classes, weights):
+    for words, w in zip(classes, weights):
         if list(map(get, words, itertools.repeat(0))) != [w] * len(words):
             break
         if w:
@@ -264,7 +259,7 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
     else:
         if support == len(oracle):
             return None
-    table = {z: w for (_, words), w in zip(classes, weights) if w
+    table = {z: w for words, w in zip(classes, weights) if w
              for z in words}
     word = min(z for z in table.keys() | oracle.keys()
                if table.get(z, 0) != get(z, 0))

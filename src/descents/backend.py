@@ -70,7 +70,8 @@ def convolve(n, a_items, b_items):
     pairs with ``n <= 255``, else ``ValueError``; the result maps composed
     images ``x*y`` (right factor first), as ``bytes`` words, to accumulated
     coefficients, zeros dropped.  ``tuple(word)`` is the image tuple, and
-    words order as their tuples do.
+    words order as their tuples do.  Images may also arrive as such
+    ``bytes`` words, which ``bytes`` returns as they are, with no copy.
 
     Terms are grouped by coefficient.  A left term ``x`` is a 256-byte
     translation table fixing 0, a right coefficient's terms one buffer of

@@ -171,7 +171,9 @@ def test_cold_products_retain_one_key_per_composition():
 
 def test_every_package_cache_is_bounded():
     # every functools cache in the package's modules, at module level or
-    # on a class, has a finite maxsize, so that none grows with the calls
+    # on a class, has a finite maxsize, so that none grows with the calls;
+    # the set is pinned, so a change that adds or drops a cache edits it
+    # and says what that cache replaces
     sizes = {}
     for info in pkgutil.iter_modules(descents.__path__):
         module = importlib.import_module(f"descents.{info.name}")
@@ -181,7 +183,10 @@ def test_every_package_cache_is_bounded():
             for name, value in scope.items():
                 if hasattr(value, "cache_info"):
                     sizes[f"{info.name}.{name}"] = value.cache_info().maxsize
-    assert {"algebra._solomon", "backend._merged_row"} <= sizes.keys()
+    assert sizes.keys() == {
+        "algebra._solomon", "algebra._term_key", "algebra._descent_classes",
+        "backend._row_fillings", "backend._merged_row",
+        "cosets._rep_images", "cosets._subset_data", "cosets._key_grid"}
     assert [name for name, size in sizes.items() if size is None] == []
 
 
@@ -211,7 +216,7 @@ def test_to_group_algebra_bound():
         to_group_algebra(basis_element(Composition((8,))))
     big = to_group_algebra(basis_element(Composition((8,))), max_degree=8)
     assert len(big) == 1
-    # a product under a raised bound caches the indicator of (8), and the
+    # a product under a raised bound caches S_8's descent classes, and the
     # default bound must still refuse it
     eight = Composition((8,))
     assert len(oracle_multiply(eight, eight, max_degree=8)) == 1
@@ -219,15 +224,48 @@ def test_to_group_algebra_bound():
         oracle_multiply(eight, eight)
 
 
-def test_oracle_indicators_cached_once_across_bounds(capsys):
+def test_oracle_classes_listed_once_across_bounds(capsys):
     # `verify --oracle` raises the bound to n and library callers keep the
-    # default; both sweeps at n=5 share one indicator per composition
-    algebra._basis_indicator.cache_clear()
+    # default; both sweeps at n=5 share one list of S_5's descent classes,
+    # each a tuple of byte words
+    algebra._descent_classes.cache_clear()
     assert cli.main(["verify", "5", "--oracle"]) == 0
     capsys.readouterr()
     comps = all_compositions(5)
     assert all(oracle_agrees(kappa, nu) for kappa in comps for nu in comps)
-    assert algebra._basis_indicator.cache_info().currsize == len(comps) == 16
+    assert algebra._descent_classes.cache_info().currsize == 1
+    classes = algebra._descent_classes(5)
+    assert len(classes) == 16 and sum(map(len, classes)) == 120
+    assert all(type(words) is tuple and all(type(z) is bytes for z in words)
+               for words in classes)
+
+
+def test_oracle_convolves_the_indicators_read_off_the_classes(monkeypatch):
+    # each check hands the module attribute X_kappa on the left and X_nu on
+    # the right, as sized lists of (word, 1) pairs
+    operands = []
+    convolve = backend.convolve
+
+    def capture(n, a_items, b_items):
+        operands.append((a_items, b_items))
+        return convolve(n, a_items, b_items)
+
+    monkeypatch.setattr(backend, "convolve", capture)
+    for n in range(1, 6):
+        comps = all_compositions(n)
+        reps = {comp: {bytes(x) for x in
+                       enumerate_left_reps(composition_to_subset(comp))}
+                for comp in comps}
+        for kappa, nu in itertools.product(comps, comps):
+            operands.clear()
+            verdict = oracle_agrees(kappa, nu)
+            (a_items, b_items), = operands
+            for items, comp in ((a_items, kappa), (b_items, nu)):
+                assert type(items) is list, (kappa, nu)
+                assert len(items) == len(reps[comp]), (kappa, nu)
+                assert {z for z, _ in items} == reps[comp], (kappa, nu)
+                assert {c for _, c in items} == {1}, (kappa, nu)
+            assert verdict, (kappa, nu)
 
 
 def test_oracle_multiply_counts_products_directly():
@@ -433,7 +471,21 @@ def test_oracle_degree_bound_checked_before_sweep():
     assert algebra._descent_classes.cache_info().currsize == 0
     assert oracle_agrees(eight, eight, max_degree=8)
     assert oracle_mismatch(eight, eight, max_degree=8) is None
-    algebra._descent_classes.cache_clear()  # drop the 6.5 MiB S_8 entry
+    algebra._descent_classes.cache_clear()  # drop the 1.9 MiB S_8 entry
+
+
+def test_descent_classes_of_s8_retain_under_3_mib():
+    # one byte word per permutation and nothing else
+    algebra._descent_classes.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert sum(map(len, algebra._descent_classes(8))) == 40320
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        algebra._descent_classes.cache_clear()  # drop the S_8 entry
+    assert retained < 3 * 2 ** 20, retained
 
 
 def test_oracle_check_builds_no_generator_subset(monkeypatch):
@@ -449,7 +501,6 @@ def test_oracle_check_builds_no_generator_subset(monkeypatch):
         init(self, *args, **kwargs)
 
     algebra._solomon.cache_clear()
-    algebra._basis_indicator.cache_clear()
     monkeypatch.setattr(GeneratorSubset, "__init__", counting_init)
     kappa, nu = Composition((2, 1, 2)), Composition((1, 3, 1))
     assert oracle_agrees(kappa, nu)
