@@ -12,12 +12,11 @@ the defining sums and must agree exactly.  :func:`oracle_agrees` compares
 the two in the byte words that :func:`backend.convolve` returns for the two
 indicators: S_n's permutations are listed once per degree by descent class,
 as byte words only, each indicator is read off the classes its composition
-allows, and every word of a class must carry the table product's weight on
-that class, while the classes of non-zero weight hold the convolution's
-whole support.  Elements of both algebras share one base,
-``perms._IntegerCombination``, for their coefficient arithmetic;
-:func:`to_group_algebra` and :func:`oracle_multiply` build them from the
-same word list, as the reference the lean comparison must match.
+allows, and the table product, expanded over the classes of non-zero
+weight, must equal the convolution as a dict.  Elements of both algebras
+share one base, ``perms._IntegerCombination``, for their coefficient
+arithmetic; :func:`to_group_algebra` and :func:`oracle_multiply` build them
+from the same word list, as the reference the lean comparison must match.
 
 >>> kappa, nu = Composition((2, 1)), Composition((1, 2))
 >>> str(solomon_multiply(kappa, nu))
@@ -230,12 +229,10 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
     building either element, in the byte words that
     :func:`backend.convolve` returns for the two indicators, each read off
     the descent classes whose index misses its composition's mask, as
-    ``(word, 1)`` pairs.  Each descent class's words must all carry the
-    class's weight in the convolution, zero weights included, and the
-    classes of non-zero weight must hold the convolution's whole support,
-    so that no word outside S_n's permutations is left.  Only a mismatch
-    builds the table product's ``{word: coefficient}`` dict, to find the
-    smallest word that differs.
+    ``(word, 1)`` pairs.  The table product is expanded once, as a
+    ``{word: coefficient}`` dict over the classes of non-zero weight, and
+    the two agree when that dict equals the convolution; otherwise the
+    smallest word on which they differ is named.
     """
     n = kappa.n
     if n != nu.n:
@@ -249,18 +246,11 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
                      for mask in map(_composition_mask, (kappa, nu)))
     # through the module attribute, so a wrapper on it sees every check
     oracle = backend.convolve(n, x_kappa, x_nu)
-    get = oracle.get
-    support = 0
-    for words, w in zip(classes, weights):
-        if list(map(get, words, itertools.repeat(0))) != [w] * len(words):
-            break
-        if w:
-            support += len(words)
-    else:
-        if support == len(oracle):
-            return None
     table = {z: w for words, w in zip(classes, weights) if w
              for z in words}
+    if table == oracle:
+        return None
+    get = oracle.get
     word = min(z for z in table.keys() | oracle.keys()
                if table.get(z, 0) != get(z, 0))
     return (tuple.__new__(Permutation, word), table.get(word, 0),

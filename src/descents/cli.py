@@ -1,13 +1,15 @@
 """Command-line surface: multiply, verify, table, graph.
 
 Exit codes: 0 success (verification PASS), 1 verification FAIL,
-2 usage or parse errors.  All output is deterministic.
+2 usage or parse errors, 141 (128 + SIGPIPE) when the reader closes
+standard output early.  All output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -286,7 +288,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("multiply", "verify") and args.format == "csv":
             raise ValueError(f"{args.command} does not support --format csv")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the rest goes to devnull, so the exit flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

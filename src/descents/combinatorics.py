@@ -110,7 +110,6 @@ class GeneratorSubset:
                     f"generator index {m!r} outside 1..{n - 1}")
             mask |= 1 << (m - 1)
         object.__setattr__(self, "n", n)
-        # a list: tuple() of a generator crept oracle-check's peak RSS
         object.__setattr__(self, "members", tuple([
             i for i in range(1, n) if mask >> (i - 1) & 1]))
         object.__setattr__(self, "mask", mask)

@@ -274,48 +274,52 @@ def _presentation_subgroup(blocks) -> set[Permutation]:
     return members
 
 
-class PairFailure:
-    """One counterexample found while verifying a subset pair: the witness
-    x as text (``-`` when none), the check it failed and what differed.
+class _Record:
+    """A plain slotted value, so that importing the package loads no class
+    generator: it equals a record of its own type whose fields are equal,
+    prints as ``Name(slot=value, ...)`` in slot order, and is unhashable."""
 
-    A plain slotted class, written out so that importing the package
-    loads no class generator: it compares and prints by its three fields,
-    and is unhashable."""
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        pairs = map("{}={!r}".format, self.__slots__, self._fields())
+        return f"{type(self).__name__}({', '.join(pairs)})"
+
+
+class PairFailure(_Record):
+    """One counterexample found while verifying a subset pair: the witness
+    x as text (``-`` when none), the check it failed and what differed."""
 
     __slots__ = ("x_text", "check", "detail")
-    __hash__ = None
 
     def __init__(self, x_text: str, check: str, detail: str):
         self.x_text = x_text
         self.check = check
         self.detail = detail
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.x_text, self.check, self.detail)
-                == (other.x_text, other.check, other.detail))
-
-    def __repr__(self) -> str:
-        return (f"PairFailure(x_text={self.x_text!r}, check={self.check!r}, "
-                f"detail={self.detail!r})")
-
     def record(self) -> dict:
         return {"x": self.x_text, "check": self.check, "detail": self.detail}
 
 
-class PairReport:
+class PairReport(_Record):
     """Outcome of :func:`verify_subset_pair` for one (J, K) pair: the
     degree, both subsets' members, the checks run, the witnesses seen, the
     failures counted, and the first :data:`MAX_FAILURES` of them listed.
 
-    Like :class:`PairFailure` a plain slotted class: each report gets a
-    fresh ``failures`` list, compares and prints by its seven fields, and
-    is unhashable, since the verification updates it in place."""
+    Each report gets a fresh ``failures`` list; the verification updates
+    the report in place, which is why a record is unhashable."""
 
     __slots__ = ("n", "j_members", "k_members", "checks", "witnesses",
                  "failure_count", "failures")
-    __hash__ = None
 
     def __init__(self, n: int, j_members: tuple[int, ...],
                  k_members: tuple[int, ...], checks: tuple[str, ...],
@@ -328,20 +332,6 @@ class PairReport:
         self.witnesses = witnesses
         self.failure_count = failure_count
         self.failures = [] if failures is None else failures
-
-    def _fields(self) -> tuple:
-        return (self.n, self.j_members, self.k_members, self.checks,
-                self.witnesses, self.failure_count, self.failures)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return ("PairReport(n={!r}, j_members={!r}, k_members={!r}, "
-                "checks={!r}, witnesses={!r}, failure_count={!r}, "
-                "failures={!r})".format(*self._fields()))
 
     @property
     def passed(self) -> bool:

@@ -435,12 +435,18 @@ def convolution_faults(n, honest):
     }
 
 
-@pytest.mark.parametrize("fault", ["zero-class", "drop", "non-permutation",
-                                   "move"])
-def test_word_space_verdict_catches_convolution_faults(monkeypatch, fault):
-    # B(2,2)*B(3,1) has weights 0, 1 and 2; the patched attribute serves
-    # the lean check and the reference alike
-    kappa, nu = Composition((2, 2)), Composition((3, 1))
+FAULTS = ("zero-class", "drop", "non-permutation", "move")
+
+
+# B(2,2)*B(3,1) has weights 0, 1 and 2 on a support of 20 words, and
+# B(4,2)*B(3,2,1) weights 0, 1, 2 and 5 on 480
+@pytest.mark.parametrize("fault,kappa,nu", [
+    *(pytest.param(f, (2, 2), (3, 1), id=f) for f in FAULTS),
+    *(pytest.param(f, (4, 2), (3, 2, 1), id=f"{f}-n6") for f in FAULTS)])
+def test_word_space_verdict_catches_convolution_faults(monkeypatch, fault,
+                                                       kappa, nu):
+    # the patched attribute serves the lean check and the reference alike
+    kappa, nu = Composition(kappa), Composition(nu)
     honest = oracle_multiply(kappa, nu).terms
     delta = convolution_faults(kappa.n, honest)[fault]
     convolve = backend.convolve

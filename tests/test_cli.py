@@ -426,3 +426,24 @@ def test_cold_import_loads_no_dataclass_or_csv_machinery():
     loaded = set(json.loads(out.stdout))
     assert "descents.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "csv"}
+
+
+def test_closed_output_pipe_exits_141_quietly():
+    # table 7's output outgrows stdout's buffer, so it meets the closed
+    # pipe while it prints; graph's few lines meet it only when stdout is
+    # flushed, which PYTHONUNBUFFERED would hide.  The read end is closed
+    # before each run starts, so the outcome does not depend on timing.
+    src = os.path.dirname(os.path.dirname(descents.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv in (["table", "7"], ["graph", "3", "--subset", "1"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "descents.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (141, b""), argv
