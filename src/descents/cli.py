@@ -14,6 +14,7 @@ import random
 import sys
 
 from .algebra import (
+    STRUCTURE_SCHEMA_VERSION,
     oracle_agrees,
     solomon_multiply,
     structure_constants,
@@ -44,9 +45,15 @@ ORACLE_EXHAUSTIVE_MAX = 6
 ORACLE_SAMPLE_PAIRS = 200
 
 
-def _warn_bound(what: str, n: int, default: int) -> None:
-    print(f"warning: degree {n} is above the default {what} bound "
-          f"({default}); continuing because of --max-n", file=sys.stderr)
+def _check_bound(args, what: str, default: int) -> None:
+    # --max-n sets the bound; the error names what, a run above default warns
+    try:
+        check_degree(args.n, args.max_n, default, option="--max-n")
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    if args.n > default:
+        print(f"warning: degree {args.n} is above the default {what} bound "
+              f"({default}); continuing because of --max-n", file=sys.stderr)
 
 
 def _emit_json(obj) -> None:
@@ -69,16 +76,12 @@ def cmd_multiply(args) -> int:
 
     oracle_ok = None
     if args.oracle:
-        # the product's check has run: --max-n is absent or at least n
-        if args.n > ORACLE_DEGREE_DEFAULT:
-            check_degree(args.n, args.max_n, ORACLE_DEGREE_DEFAULT,
-                         option="--max-n")
-            _warn_bound("oracle", args.n, ORACLE_DEGREE_DEFAULT)
+        _check_bound(args, "oracle", ORACLE_DEGREE_DEFAULT)
         oracle_ok = oracle_agrees(kappa, nu, max_degree=args.n)
 
     if args.format == "structured":
         record = {
-            "schema_version": 1,
+            "schema_version": STRUCTURE_SCHEMA_VERSION,
             "kind": "descent-algebra-product",
             "n": args.n,
             "kappa": kappa.to_text(),
@@ -144,15 +147,10 @@ def cmd_verify(args) -> int:
     for scope, bound in _SCOPES:
         if not (run_all or getattr(args, scope)):
             continue
-        if n > bound:
-            if run_all and scope == "parabolic":
-                selected.append((scope, {"reason": f"n>{bound}"}))
-                continue
-            if args.max_n is None or args.max_n < n:
-                raise ValueError(
-                    f"degree {n} above the {scope} bound {bound}; pass "
-                    f"--max-n {n} to override, or pick a narrower scope")
-            _warn_bound(scope, n, bound)
+        if run_all and scope == "parabolic" and n > bound:
+            selected.append((scope, {"reason": f"n>{bound}"}))
+            continue
+        _check_bound(args, scope, bound)
         selected.append((scope, None))
 
     results = []
@@ -167,7 +165,7 @@ def cmd_verify(args) -> int:
 
     if args.format == "structured":
         _emit_json({
-            "schema_version": 1,
+            "schema_version": STRUCTURE_SCHEMA_VERSION,
             "kind": "descent-algebra-verification",
             "n": n,
             "scopes": [{"scope": scope, "status": status, **stats}
@@ -229,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text",
                         help="output format (default: text)")
     common.add_argument("--max-n", type=int, default=None, metavar="N",
-                        help="raise a default degree bound; verify and "
-                             "multiply --oracle warn above the default")
+                        help="set the degree bound; verify and multiply "
+                             "--oracle warn above the default")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -281,11 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.n < 1:
-        print("error: n must be at least 1", file=sys.stderr)
-        return 2
     try:
+        try:
+            args = parser.parse_args(argv)
+        finally:  # --help writes to stdout, then raises SystemExit
+            sys.stdout.flush()
+        if args.n < 1:
+            print("error: n must be at least 1", file=sys.stderr)
+            return 2
         if args.command in ("multiply", "verify") and args.format == "csv":
             raise ValueError(f"{args.command} does not support --format csv")
         status = args.func(args)

@@ -36,10 +36,9 @@ from .combinatorics import (
     GeneratorSubset,
     MarginMatrix,
     OrderedPresentation,
+    SubsetGraph,
     contingency_tables,
-    graph_of_subset,
     ordered_presentation,
-    subset_to_composition,
 )
 from .perms import (
     BASIS_DEGREE_MAX,
@@ -97,21 +96,21 @@ def _rep_images(n: int, mask: int) -> tuple[tuple[Permutation, int], ...]:
 def _subset_data(n: int, mask: int) -> tuple[tuple[tuple[int, ...], ...],
                                              Composition, tuple[int, ...]]:
     """For the subset J of degree n with ``J.mask == mask``: the
-    ordered-presentation blocks of J's graph, J's composition, and
-    ``where``: ``where[v]`` is the index of the block that holds vertex v
-    (``where[0]`` is unused).
+    ordered-presentation blocks of J's graph, their sizes (J's composition)
+    and ``where``, whose ``where[v]`` is the index of the block holding v.
 
-    Keyed on the two ints, so a hit hashes in C and no caller builds a
-    subset; 1024 entries hold every subset of one degree through n=11, a
-    witness's meet (:func:`_meet`) among them.  ``ordered_presentation`` is
-    read from this module, so a wrapper placed there sees each miss."""
-    j = GeneratorSubset(n, [i for i in range(1, n) if mask >> (i - 1) & 1])
-    blocks = ordered_presentation(graph_of_subset(j))
+    Keyed on the two ints, so a hit hashes in C, and a miss reads the
+    graph's edges off the mask: no call builds a subset.  1024 entries hold
+    every subset of one degree through n=11, a witness's meet
+    (:func:`_meet`) among them.  ``ordered_presentation`` is read from this
+    module, so a wrapper placed there sees each miss."""
+    blocks = ordered_presentation(SubsetGraph(
+        n, [(i, i + 1) for i in range(1, n) if mask >> (i - 1) & 1]))
     where = [-1] * (n + 1)
     for q, block in enumerate(blocks):
         for v in block:
             where[v] = q
-    return blocks, subset_to_composition(j), tuple(where)
+    return blocks, tuple.__new__(Composition, map(len, blocks)), tuple(where)
 
 
 def _meet(x: Permutation, j: GeneratorSubset, k: GeneratorSubset) -> int:

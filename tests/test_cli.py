@@ -94,9 +94,10 @@ def test_csv_rejected_before_any_work(capsys, monkeypatch, argv):
 
 
 def test_multiply_over_bound_needs_max_n(capsys):
-    rc, _, err = run_cli(capsys, "multiply", "8", "8", "8", "--oracle")
-    assert rc == 2
-    assert "above bound" in err
+    rc, out, err = run_cli(capsys, "multiply", "8", "8", "8", "--oracle")
+    assert (rc, out) == (2, "")
+    assert err == ("error: oracle: degree 8 above bound 7; "
+                   "pass --max-n to override\n")
 
 
 def test_multiply_max_n_override_warns(capsys):
@@ -225,16 +226,28 @@ def test_verify_all_skips_parabolic_above_five(capsys, monkeypatch):
 
 
 def test_verify_explicit_scope_over_bound_errors(capsys, monkeypatch):
-    # every selected bound is checked before any scope runs
+    # every selected bound is checked before any scope runs, and --max-n
+    # sets the bound as in multiply and table: a value below n is an error
     def no_work(*args, **kwargs):
         raise AssertionError("ran a scope before checking every bound")
 
     monkeypatch.setattr(cli, "oracle_agrees", no_work)
-    for scopes in (("--parabolic",), ("--oracle", "--parabolic")):
-        rc, out, err = run_cli(capsys, "verify", "6", *scopes)
-        assert rc == 2
-        assert out == ""
-        assert "above the parabolic bound 5" in err
+    monkeypatch.setattr(cli, "verify_subset_pair", no_work)
+    for argv, want in (
+            (("6", "--parabolic"),
+             "error: parabolic: degree 6 above bound 5; "
+             "pass --max-n to override\n"),
+            (("6", "--oracle", "--parabolic"),
+             "error: parabolic: degree 6 above bound 5; "
+             "pass --max-n to override\n"),
+            (("3", "--max-n", "2"),
+             "error: lemma: degree 3 above bound 2; "
+             "pass --max-n to override\n"),
+            (("6", "--lemma", "--max-n", "5"),
+             "error: lemma: degree 6 above bound 5; "
+             "pass --max-n to override\n")):
+        rc, out, err = run_cli(capsys, "verify", *argv)
+        assert (rc, out, err) == (2, "", want), argv
 
 
 def test_verify_scope_bound_override(capsys):
@@ -436,7 +449,9 @@ def test_closed_output_pipe_exits_141_quietly():
     src = os.path.dirname(os.path.dirname(descents.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONUNBUFFERED", None)
-    for argv in (["table", "7"], ["graph", "3", "--subset", "1"]):
+    # --help's text is written while the arguments are parsed
+    for argv in (["table", "7"], ["graph", "3", "--subset", "1"],
+                 ["--help"], ["table", "--help"]):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

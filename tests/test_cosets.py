@@ -649,3 +649,24 @@ def test_pair_report_value_semantics():
     assert (first.witnesses, first.failure_count) == (0, 0)
     assert PairReport(n=3, j_members=(), k_members=(), checks=(),
                       witnesses=4) == PairReport(3, (), (), (), 4)
+
+
+def test_subset_data_builds_no_generator_subset(monkeypatch):
+    # a cold fill reads each subset's graph and composition off its mask
+    built = []
+    init = GeneratorSubset.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    subsets = all_generator_subsets(6)
+    descents.cosets._subset_data.cache_clear()
+    monkeypatch.setattr(GeneratorSubset, "__init__", counting_init)
+    data = [descents.cosets._subset_data(6, j.mask) for j in subsets]
+    assert built == []
+    for j, (blocks, kappa, where) in zip(subsets, data):
+        assert blocks == ordered_presentation(graph_of_subset(j))
+        assert all(v in blocks[where[v]] for v in range(1, 7))
+        assert type(kappa) is Composition
+        assert kappa == subset_to_composition(j)
