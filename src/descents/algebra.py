@@ -38,6 +38,7 @@ from .perms import (
     ORACLE_DEGREE_DEFAULT,
     GroupAlgebraElement,
     Permutation,
+    _adopt,
     _IntegerCombination,
     algebra_multiply,
     check_degree,
@@ -84,7 +85,7 @@ class DescentElement(_IntegerCombination):
 
 def basis_element(kappa: Composition) -> DescentElement:
     """The basis element ``B(kappa)``."""
-    return DescentElement(kappa.n, {kappa: 1}, check=False)
+    return _adopt(DescentElement, kappa.n, {kappa: 1})
 
 
 def identity_element(n: int) -> DescentElement:
@@ -112,7 +113,7 @@ def _solomon(kappa: Composition, nu: Composition) -> DescentElement:
     # the counts are exact and positive: range-check the largest
     check_coefficient(max(counts.values(), default=0))
     terms = dict(zip(map(_term_key, counts), counts.values()))
-    return DescentElement(n, terms, check=False)
+    return _adopt(DescentElement, n, terms)
 
 
 def solomon_multiply(kappa: Composition, nu: Composition,
@@ -148,9 +149,8 @@ def element_multiply(a: DescentElement, b: DescentElement,
             scale = ca * cb
             for eta, c in _solomon(kappa, nu).terms.items():
                 terms[eta] = get(eta, 0) + scale * c
-    return DescentElement(
-        n, {eta: check_coefficient(c) for eta, c in terms.items() if c},
-        check=False)
+    return _adopt(DescentElement, n, {eta: check_coefficient(c)
+                                      for eta, c in terms.items() if c})
 
 
 # One entry per degree: S_n's permutations as byte words of their images,
@@ -195,7 +195,7 @@ def to_group_algebra(a: DescentElement,
     terms = {tuple.__new__(Permutation, z): w
              for words, w in zip(_descent_classes(a.n), _class_weights(a))
              if w for z in words}
-    return GroupAlgebraElement(a.n, terms, check=False)
+    return _adopt(GroupAlgebraElement, a.n, terms)
 
 
 def oracle_multiply(kappa: Composition, nu: Composition,

@@ -216,8 +216,14 @@ def cmd_graph(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse's own writer swallows OSError; a closed pipe must reach main
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="descents",
         description="Descent algebra of the symmetric group: products, "
                     "verification, tables, graphs.")
@@ -285,8 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:  # --help writes to stdout, then raises SystemExit
             sys.stdout.flush()
         if args.n < 1:
-            print("error: n must be at least 1", file=sys.stderr)
-            return 2
+            raise ValueError("n must be at least 1")
         if args.command in ("multiply", "verify") and args.format == "csv":
             raise ValueError(f"{args.command} does not support --format csv")
         status = args.func(args)

@@ -317,7 +317,7 @@ def subset_to_composition(j: GeneratorSubset) -> Composition:
             parts.append(size)
             size = 1
     parts.append(size)
-    return Composition(parts)
+    return tuple.__new__(Composition, parts)
 
 
 def _composition_mask(kappa: Composition) -> int:

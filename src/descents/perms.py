@@ -11,8 +11,8 @@ it runs in C.
 Elements of the group algebra and of the descent algebra (in ``algebra``)
 are both subclasses of :class:`_IntegerCombination`, which holds their
 shared coefficient arithmetic: exact integers, zeros dropped, every
-coefficient within signed 64-bit range, immutable.  A trusted build
-(``check=False``) adopts the dict it is given, which its producer cleaned.
+coefficient within signed 64-bit range, immutable.  The one constructor
+validates; ``_adopt`` keeps a dict its producer cleaned, uncopied.
 
 >>> x = Permutation.from_text("132")
 >>> y = Permutation.from_text("213")
@@ -157,36 +157,29 @@ class _IntegerCombination:
 
     ``terms`` maps each key to a non-zero signed 64-bit coefficient; treat
     it as read-only.  Subclasses add ``key_type``, ``_multiply`` and text.
-    ``check=False`` adopts ``terms`` uncopied: a fresh dict the caller will
-    not change, with ``key_type`` keys of degree n and non-zero in-range
-    ``int`` coefficients; the checked build validates, copies, drops zeros.
-    The flag stays because a slotted class has no C constructor that sets
-    its fields, unlike the tuple value types.
+    The constructor validates, copies and drops zeros; producers whose
+    dict is clean by construction build with :func:`_adopt` instead.
     """
 
     __slots__ = ("n", "terms")
     key_type: type
 
-    def __init__(self, n: int, terms: Mapping | None = None,
-                 check: bool = True):
-        if check:
-            clean = {}
-            for key, coeff in (terms or {}).items():
-                if not isinstance(key, self.key_type):
-                    raise ValueError("terms must be keyed by "
-                                     + self.key_type.__name__)
-                if key.n != n:
-                    raise ValueError(
-                        f"degree mismatch: element of degree {n} cannot "
-                        f"hold a key of degree {key.n}")
-                if type(coeff) is not int:
-                    raise ValueError(
-                        f"coefficients must be integers: {coeff!r}")
-                if check_coefficient(coeff):
-                    clean[key] = coeff
-            terms = clean
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
+    def __new__(cls, n: int, terms: Mapping | None = None):
+        clean = {}
+        for key, coeff in (terms or {}).items():
+            if not isinstance(key, cls.key_type):
+                raise ValueError("terms must be keyed by "
+                                 + cls.key_type.__name__)
+            if key.n != n:
+                raise ValueError(
+                    f"degree mismatch: element of degree {n} cannot "
+                    f"hold a key of degree {key.n}")
+            if type(coeff) is not int:
+                raise ValueError(
+                    f"coefficients must be integers: {coeff!r}")
+            if check_coefficient(coeff):
+                clean[key] = coeff
+        return _adopt(cls, n, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -204,7 +197,7 @@ class _IntegerCombination:
             terms[key] = check_coefficient(terms.get(key, 0) + sign * coeff)
             if not terms[key]:
                 del terms[key]
-        return type(self)(self.n, terms, check=False)
+        return _adopt(type(self), self.n, terms)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -213,16 +206,16 @@ class _IntegerCombination:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return type(self)(self.n, {k: -c for k, c in self.terms.items()},
-                          check=False)
+        return _adopt(type(self), self.n,
+                      {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
             return self._multiply(other)
         if isinstance(other, int):
             terms = self.terms if other else {}
-            return type(self)(self.n, {k: check_coefficient(c * other)
-                                       for k, c in terms.items()}, check=False)
+            return _adopt(type(self), self.n, {k: check_coefficient(c * other)
+                                               for k, c in terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -239,6 +232,16 @@ class _IntegerCombination:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+
+def _adopt(cls: type, n: int, terms: dict) -> _IntegerCombination:
+    """The ``cls`` element holding ``terms`` uncopied and unchecked: a
+    fresh dict no one changes, with ``cls.key_type`` keys of degree n and
+    non-zero in-range ``int`` coefficients, as the constructor leaves it."""
+    self = object.__new__(cls)
+    object.__setattr__(self, "n", n)
+    object.__setattr__(self, "terms", terms)
+    return self
 
 
 class GroupAlgebraElement(_IntegerCombination):
@@ -265,4 +268,4 @@ def algebra_multiply(a: GroupAlgebraElement,
         raise degree_mismatch(a.n, b.n)
     raw = backend.convolve(a.n, a.terms.items(), b.terms.items())
     terms = {tuple.__new__(Permutation, img): c for img, c in raw.items()}
-    return GroupAlgebraElement(a.n, terms, check=False)
+    return _adopt(GroupAlgebraElement, a.n, terms)

@@ -5,6 +5,7 @@ Each criterion reports a single ``ACCEPTANCE <name>: PASS`` line (shown in
 the terminal summary, or directly with -s).
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -130,10 +131,11 @@ def test_counting_identity():
 def test_cli_worked_example():
     # the S_9 example: generators {2,3,7} split 1..9 into the blocks
     # ({1},{2,3,4},{5},{6},{7,8},{9}) with composition 1,3,1,1,2,1
+    src = os.path.dirname(os.path.dirname(algebra.__file__))
     out = subprocess.run(
         [sys.executable, "-m", "descents.cli",
          "graph", "9", "--subset", "2,3,7"],
-        capture_output=True, check=True)
+        capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout == (
         b"n: 9\n"
         b"subset: {2,3,7}\n"

@@ -605,7 +605,10 @@ def test_element_contract(cls, keys, other_keys):
     for name in ("n", "terms", "other"):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
-    # check=True rejects a wrong key type and a wrong degree
+    # the one constructor always validates: it takes no unchecked flag
+    with pytest.raises(TypeError):
+        cls(2, {}, check=False)
+    # it rejects a wrong key type and a wrong degree
     with pytest.raises(ValueError):
         cls(2, {other_keys(2)[0]: 1})
     with pytest.raises(ValueError, match="degree 2.*degree 3"):
@@ -633,6 +636,70 @@ def test_element_contract(cls, keys, other_keys):
             op(a, other)
         with pytest.raises(TypeError):
             op(other, a)
+
+
+def _descent_elements(n):
+    # checked builds with mixed signs; a zero coefficient is dropped
+    comps = all_compositions(n)
+    return [DescentElement(n, {kappa: (i + s) % 5 - 2
+                               for i, kappa in enumerate(comps)})
+            for s in range(3)]
+
+
+def _group_elements(n):
+    group = list(itertools.permutations(range(1, n + 1)))
+    return [GroupAlgebraElement(n, {Permutation(x): (i + s) % 5 - 2
+                                    for i, x in enumerate(group)})
+            for s in range(3)]
+
+
+def _sums(elements):
+    return [e for a in elements for b in elements for e in (a + b, a - b)]
+
+
+def _scaled(elements):
+    return [e for a in elements for c in (-2, 0, 3) for e in (c * a, a * c)]
+
+
+# Every site that builds an element unchecked, with ``perms._adopt``, and
+# the elements it returns at degree n.
+ELEMENT_TRUSTED_BUILDS = {
+    "_combine[descent]": (DescentElement,
+                          lambda n: _sums(_descent_elements(n))),
+    "_combine[group]": (GroupAlgebraElement,
+                        lambda n: _sums(_group_elements(n))),
+    "__neg__[descent]": (DescentElement,
+                         lambda n: [-a for a in _descent_elements(n)]),
+    "__neg__[group]": (GroupAlgebraElement,
+                       lambda n: [-a for a in _group_elements(n)]),
+    "int *[descent]": (DescentElement,
+                       lambda n: _scaled(_descent_elements(n))),
+    "int *[group]": (GroupAlgebraElement,
+                     lambda n: _scaled(_group_elements(n))),
+    "algebra_multiply": (GroupAlgebraElement, lambda n: [
+        a * b for a in _group_elements(n) for b in _group_elements(n)]),
+    "basis_element": (DescentElement, lambda n: [
+        basis_element(kappa) for kappa in all_compositions(n)]),
+    "_solomon": (DescentElement, lambda n: [
+        solomon_multiply(kappa, nu) for kappa in all_compositions(n)
+        for nu in all_compositions(n)]),
+    "element_multiply": (DescentElement, lambda n: [
+        a * b for a in _descent_elements(n) for b in _descent_elements(n)]),
+    "to_group_algebra": (GroupAlgebraElement, lambda n: [
+        to_group_algebra(a) for a in _descent_elements(n)]),
+}
+
+
+@pytest.mark.parametrize("cls, build", ELEMENT_TRUSTED_BUILDS.values(),
+                         ids=ELEMENT_TRUSTED_BUILDS.keys())
+def test_trusted_element_builds_equal_their_checked_rebuild(cls, build):
+    # the checked constructor drops zeros and rejects a bad key or
+    # coefficient, so a rebuild equal to the element vouches for it
+    for n in range(1, 5):
+        elements = build(n)
+        assert elements
+        for e in elements:
+            assert type(e) is cls and cls(e.n, e.terms) == e, e
 
 
 def test_product_closure_and_coefficient_total():

@@ -417,9 +417,10 @@ def test_unknown_command_exits_two():
 
 
 def test_console_entry_point():
+    src = os.path.dirname(os.path.dirname(descents.__file__))
     out = subprocess.run(
         [sys.executable, "-m", "descents.cli", "multiply", "3", "2,1", "1,2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.returncode == 0
     assert out.stdout == "B(1,1,1) + B(1,2)\n"
 
@@ -449,16 +450,19 @@ def test_closed_output_pipe_exits_141_quietly():
     src = os.path.dirname(os.path.dirname(descents.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONUNBUFFERED", None)
-    # --help's text is written while the arguments are parsed
-    for argv in (["table", "7"], ["graph", "3", "--subset", "1"],
-                 ["--help"], ["table", "--help"]):
+    # --help's text is written while the arguments are parsed, and meets
+    # the closed pipe whether stdout is buffered or not
+    help_runs = [(argv, extra) for argv in (["--help"], ["table", "--help"])
+                 for extra in ({}, {"PYTHONUNBUFFERED": "1"})]
+    for argv, extra in [(["table", "7"], {}),
+                        (["graph", "3", "--subset", "1"], {}), *help_runs]:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             out = subprocess.run(
                 [sys.executable, "-m", "descents.cli", *argv],
-                stdout=write_end, stderr=subprocess.PIPE, env=env,
-                timeout=120)
+                stdout=write_end, stderr=subprocess.PIPE,
+                env=dict(env, **extra), timeout=120)
         finally:
             os.close(write_end)
-        assert (out.returncode, out.stderr) == (141, b""), argv
+        assert (out.returncode, out.stderr) == (141, b""), (argv, extra)

@@ -215,6 +215,8 @@ TRUSTED_BUILDS = {
         x for kappa in all_compositions(n)
         for x in to_group_algebra(basis_element(kappa)).terms]),
     "oracle_mismatch": (Permutation, _mismatch_images),
+    "subset_to_composition": (Composition, lambda n: [
+        subset_to_composition(j) for j in all_generator_subsets(n)]),
 }
 
 
