@@ -1,4 +1,4 @@
-"""The hot kernels: group-algebra convolution and the margin-table sweeps.
+"""The hot kernels: group-algebra convolution and the reading-word sweep.
 
 :func:`convolve` composes a left term with all of one coefficient's right
 terms in one ``bytes.translate`` of their joined words, cuts the products
@@ -11,10 +11,6 @@ depend only on the row sum and the column sums left, so every call takes
 them from one bounded cache keyed on that pair, :func:`_merged_row`.  The
 counting identity re-weights a product's terms with
 :func:`sum_reading_multinomials` and sweeps nothing itself.
-:func:`enumerate_tables` is the only code that lists single tables, for
-callers that need them.  It extends a list of partial tables a row at a
-time, and its row fillings, keyed on the same pair, come from a second
-bounded cache of 4 096 entries, :func:`_row_fillings`.
 
 Conventions:
 
@@ -25,8 +21,8 @@ Conventions:
   row by row: the parts of a composition of ``n``;
 * every input coefficient and every result must lie within signed 64-bit
   range, and leaving it raises ``OverflowError`` rather than wrapping;
-  sums on the way are exact integers and are not checked.  The table
-  sweeps' counts are exact and unchecked too: a basis product checks its
+  sums on the way are exact integers and are not checked.  The sweep's
+  counts are exact and unchecked too: a basis product checks its
   coefficients once, in ``algebra._solomon``.
 """
 
@@ -120,57 +116,6 @@ def convolve(n, a_items, b_items):
     return out
 
 
-def _check_margins(row_margins, col_margins):
-    if not row_margins or not col_margins:
-        raise ValueError("margins must be non-empty")
-    if min(row_margins) < 1 or min(col_margins) < 1:
-        raise ValueError("margins must be positive")
-    if sum(row_margins) != sum(col_margins):
-        raise ValueError("row and column margins must have equal totals")
-
-
-# One entry per (row sum, column sums left).  A full pass over the
-# ordered composition pairs of degree n reaches 1 006 keys at n=6 and
-# 3 336 at n=7, so 4 096 holds every key of one degree through n=7.  By
-# tracemalloc those entries take about 1.1 MiB at n=6 and 5.1 MiB at n=7.
-@lru_cache(maxsize=4096)
-def _row_fillings(total, cols):
-    """Every row summing to ``total`` with cells at most ``cols``, largest
-    first, each paired with the column sums it leaves, as a tuple of
-    ``(row, rest)`` tuples that no caller can change."""
-    fills = [((), (), total)]
-    after = sum(cols)
-    for c in cols:
-        after -= c
-        fills = [(row + (z,), rest + (c - z,), left - z)
-                 for row, rest, left in fills
-                 for z in range(min(left, c), max(left - after, 0) - 1, -1)]
-    return tuple((row, rest) for row, rest, _ in fills)
-
-
-def enumerate_tables(row_margins, col_margins):
-    """All non-negative integer matrices with the given margins.
-
-    Emitted in row-major lexicographic order with the largest entries
-    first; callers and tests rely on that order.  The tables grow one row
-    at a time, as a list of (rows so far, column sums left) pairs, each
-    extended in order by every filling of the next row.  A row's fillings
-    depend only on its sum and the column sums left, so they come from
-    one bounded cache shared by every call, :func:`_row_fillings`.  The
-    last row is forced: it is the column sums left.  Every partial table
-    completes, so no list is longer than the answer.
-
-    >>> enumerate_tables((2, 1), (1, 2))
-    [((1, 1), (0, 1)), ((0, 2), (1, 0))]
-    """
-    _check_margins(row_margins, col_margins)
-    partial = [((), tuple(col_margins))]
-    for total in row_margins[:-1]:
-        partial = [(rows + (row,), rest) for rows, cols in partial
-                   for row, rest in _row_fillings(total, cols)]
-    return [(*rows, cols) for rows, cols in partial]
-
-
 # One entry per (row sum, column sums left).  The products of degree n
 # reach (n - 1) * 2**n + 1 keys: 769 at n=7, 1 793 at n=8 and 4 097 at
 # n=9, so 4 096 holds every key of a table through n=8.  By tracemalloc
@@ -218,7 +163,12 @@ def reading_word_counts(row_margins, col_margins, n):
     >>> sorted(reading_word_counts((1, 2), (2, 1), 3).items())
     [((1, 1, 1), 1), ((1, 2), 1)]
     """
-    _check_margins(row_margins, col_margins)
+    if not row_margins or not col_margins:
+        raise ValueError("margins must be non-empty")
+    if min(row_margins) < 1 or min(col_margins) < 1:
+        raise ValueError("margins must be positive")
+    if sum(row_margins) != sum(col_margins):
+        raise ValueError("row and column margins must have equal totals")
     if sum(row_margins) != n:
         raise ValueError("margins must be margins of compositions of n")
     states = {(tuple(col_margins), ()): 1}

@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="all scopes (default when no scope is given)")
     p.add_argument("--lemma", action="store_true",
-                   help="presentation/reading-word/bijection checks")
+                   help="presentation/reading-word/bijection/product checks")
     p.add_argument("--oracle", action="store_true",
                    help="basis products against the group-algebra oracle")
     p.add_argument("--parabolic", action="store_true",

@@ -27,10 +27,12 @@ up in the subset cache.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache
 from operator import getitem
 from typing import Iterator
 
+from .algebra import solomon_multiply
 from .combinatorics import (
     Composition,
     GeneratorSubset,
@@ -367,7 +369,7 @@ class PairReport(_Record):
 def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                        parabolic: bool | None = None,
                        max_degree: int | None = None) -> PairReport:
-    """Check every double representative of a pair against four claims.
+    """Check every double representative of a pair against five claims.
 
     Each witness x is read as one list of cell keys, the key of position
     p naming the block intersection ``x^{-1}(J_q) & K_m`` that holds it
@@ -387,12 +389,18 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
       it is no presentation, and ``predicted ... but components are ...``
       otherwise;
     * ``reading-word`` - that subset's composition equals the reading
-      word of the intersection table of x;
+      word of the intersection table of x.  The table is counted from the
+      keys apart from the prediction's grouping, so a fault that trades
+      two valid tables between witnesses fails only here;
     * ``bijection`` - no two witnesses share a table, and the tables hit
       are exactly the margin matrices of the pair: each repeated, missing
       or foreign table is one failure naming it (x ``-`` when no witness
       hits it).  The tables hit are compared with the margin matrices as
       two sets, and both lists are walked only when they differ;
+    * ``product`` - Solomon's Mackey formula: the witnesses counted by the
+      composition of their meet equal ``solomon_multiply(kappa, nu)``
+      (kappa from J, nu from K) as a dict.  Each composition that differs
+      is one failure, x ``-``, naming its witnesses and coefficient;
     * ``parabolic`` (degree <= 5 unless forced) - conjugating the Young
       subgroup of J by x and intersecting with the Young subgroup of K
       yields exactly the Young subgroup of the intersection graph.
@@ -407,7 +415,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     if parabolic is None:
         parabolic = n <= PARABOLIC_DEGREE_DEFAULT
 
-    checks = ["presentation", "reading-word", "bijection"]
+    checks = ["presentation", "reading-word", "bijection", "product"]
     if parabolic:
         checks.append("parabolic")
     report = PairReport(n, j.members, k.members, tuple(checks))
@@ -426,10 +434,11 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
             x_text = "-" if x is None else x.to_text()
             report.failures.append(PairFailure(x_text, check, detail))
 
+    tally = defaultdict(int)  # witnesses per meet mask
     hit: dict[MarginMatrix, Permutation] = {}
     for x in enumerate_double_set(j, k, max_degree=max_degree):
-        report.witnesses += 1
         meet = _meet(x, j, k)
+        tally[meet] += 1
         computed, sizes, _ = _subset_data(n, meet)
         keys = _keys(x, grid)
         counts = _counts(keys, size)
@@ -479,4 +488,14 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
             if table not in hit:
                 fail(None, "bijection",
                      f"no witness hits table {table.to_text()}")
+    report.witnesses = sum(tally.values())
+    mackey = defaultdict(int)  # witnesses per meet composition
+    for meet, count in tally.items():
+        mackey[_subset_data(n, meet)[1]] += count
+    terms = solomon_multiply(kappa, nu, max_degree=max_degree).terms
+    if mackey != terms:
+        for eta in sorted(mackey.keys() | terms.keys()):
+            if mackey[eta] != terms.get(eta, 0):
+                fail(None, "product", f"B({eta.to_text()}): {mackey[eta]} "
+                     f"witnesses, coefficient {terms.get(eta, 0)}")
     return report

@@ -185,7 +185,7 @@ def test_every_package_cache_is_bounded():
                     sizes[f"{info.name}.{name}"] = value.cache_info().maxsize
     assert sizes.keys() == {
         "algebra._solomon", "algebra._term_key", "algebra._descent_classes",
-        "backend._row_fillings", "backend._merged_row",
+        "combinatorics._row_fillings", "backend._merged_row",
         "cosets._rep_images", "cosets._subset_data", "cosets._key_grid"}
     assert [name for name, size in sizes.items() if size is None] == []
 

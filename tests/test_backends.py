@@ -2,6 +2,9 @@
 
 Each kernel is checked against ``tests/_oracles.py``, which shares no code
 with it, together with its overflow, range, margin and order contracts.
+The ``enumerate_tables`` tests keep the name of the walk that listed the
+margin tables here before ``combinatorics.contingency_tables`` took it
+over; they check ``contingency_tables`` on ``Composition`` margins.
 """
 
 import ast
@@ -15,7 +18,8 @@ import sys
 import pytest
 
 import descents
-from descents import Composition, backend, reading_multinomial_sum
+from descents import (Composition, backend, combinatorics,
+                      contingency_tables, reading_multinomial_sum)
 
 from _oracles import (brute_tables, filter_left_reps, image_tuples,
                       naive_convolve)
@@ -224,9 +228,15 @@ def brute_reading_word_counts(nu, kappa):
     return counts
 
 
+def tables(nu, kappa):
+    """The margin tables of plain-tuple margins, through the typed
+    boundary."""
+    return list(contingency_tables(Composition(nu), Composition(kappa)))
+
+
 @pytest.mark.parametrize("nu,kappa", PARITY_CASES)
 def test_enumerate_tables_parity_and_brute_force(nu, kappa):
-    got = backend.enumerate_tables(nu, kappa)
+    got = tables(nu, kappa)
     assert set(got) == brute_tables(nu, kappa)
     assert len(set(got)) == len(got)
 
@@ -235,16 +245,16 @@ def test_enumerate_tables_parity_and_brute_force(nu, kappa):
 def test_enumerate_tables_order(nu, kappa):
     # emission order: flattened row-major entries, lexicographically
     # decreasing
-    flat = [tuple(v for row in t for v in row)
-            for t in backend.enumerate_tables(nu, kappa)]
+    flat = [tuple(v for row in t for v in row) for t in tables(nu, kappa)]
     assert flat == sorted(flat, reverse=True)
 
 
 def test_row_fillings_cache_is_shared_bounded_and_read_only():
     # one bounded cache serves every call, and its entries are tuples, so
     # no caller can change what the next call reads
-    assert backend._row_fillings.cache_info().maxsize == 4096
-    fills = backend._row_fillings(3, (2, 2))
+    row_fillings = combinatorics._row_fillings
+    assert row_fillings.cache_info().maxsize == 4096
+    fills = row_fillings(3, (2, 2))
     assert type(fills) is tuple
     assert all(type(f) is tuple for f in fills)
     pairs = [(nu, kappa) for n in range(1, 6)
@@ -252,15 +262,15 @@ def test_row_fillings_cache_is_shared_bounded_and_read_only():
              for kappa in descents.all_compositions(n)]
     cold = []
     for nu, kappa in pairs:
-        backend._row_fillings.cache_clear()
-        cold.append(backend.enumerate_tables(nu, kappa))
-    backend._row_fillings.cache_clear()
+        row_fillings.cache_clear()
+        cold.append(list(contingency_tables(nu, kappa)))
+    row_fillings.cache_clear()
     for nu, kappa in pairs:  # fill the cache from every pair
-        backend.enumerate_tables(nu, kappa)
-    misses = backend._row_fillings.cache_info().misses
-    warm = [backend.enumerate_tables(nu, kappa) for nu, kappa in pairs]
+        list(contingency_tables(nu, kappa))
+    misses = row_fillings.cache_info().misses
+    warm = [list(contingency_tables(nu, kappa)) for nu, kappa in pairs]
     assert warm == cold
-    assert backend._row_fillings.cache_info().misses == misses
+    assert row_fillings.cache_info().misses == misses
 
 
 def test_enumerate_tables_lists_each_table_once_in_decreasing_order():
@@ -271,26 +281,29 @@ def test_enumerate_tables_lists_each_table_once_in_decreasing_order():
         comps = descents.all_compositions(n)
         for nu in comps:
             for kappa in comps:
-                tables = backend.enumerate_tables(nu, kappa)
+                listed = list(contingency_tables(nu, kappa))
                 flat = [tuple(itertools.chain.from_iterable(t))
-                        for t in tables]
-                assert len(set(tables)) == len(tables), (nu, kappa)
+                        for t in listed]
+                assert len(set(listed)) == len(listed), (nu, kappa)
                 assert all(a > b for a, b in zip(flat, flat[1:])), (nu, kappa)
                 pairs += 1
     assert pairs == 1365
 
 
 def test_enumerate_tables_margin_validation():
-    with pytest.raises(ValueError):
-        backend.enumerate_tables((2, 1), (4,))
-    with pytest.raises(ValueError):
-        backend.enumerate_tables((0, 3), (3,))
-    with pytest.raises(ValueError):
-        backend.enumerate_tables((), ())
-    # the sweep checks the same margins, and their degree against n
-    with pytest.raises(ValueError, match="^margins must be margins of "
-                                         "compositions of n$"):
-        backend.reading_word_counts((1, 2), (2, 1), 4)
+    # the tables' margins are Compositions, checked by their constructor
+    # and by contingency_tables; the sweep takes plain tuples and checks
+    # them itself, and their degree against n
+    for rows, cols, n, message in [
+            ((2, 1), (4,), 3, "row and column margins must have equal "
+                              "totals"),
+            ((0, 3), (3,), 3, "margins must be positive"),
+            ((), (), 0, "margins must be non-empty"),
+            ((1, 2), (2, 1), 4, "margins must be margins of compositions "
+                                "of n"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            backend.reading_word_counts(rows, cols, n)
 
 
 @pytest.mark.parametrize("nu,kappa", PARITY_CASES)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import descents.cli
 import descents.cosets
 from descents import (
     Composition,
@@ -13,8 +14,11 @@ from descents import (
     MarginMatrix,
     OrderedPresentation,
     Permutation,
+    algebra,
     all_generator_subsets,
+    backend,
     contingency_tables,
+    counting_identity_holds,
     enumerate_double_set,
     enumerate_left_reps,
     graph_of_subset,
@@ -331,7 +335,8 @@ def test_verify_pair_parabolic_auto_off_above_five():
     report = verify_subset_pair(GeneratorSubset(6, {1, 2}),
                                 GeneratorSubset(6, {4}))
     assert report.passed
-    assert report.checks == ("presentation", "reading-word", "bijection")
+    assert report.checks == ("presentation", "reading-word", "bijection",
+                             "product")
 
 
 def test_verify_pair_bound_and_override():
@@ -354,7 +359,7 @@ def test_verify_pair_report_text_and_record():
     assert rec["witnesses"] == 2
     assert rec["failures"] == []
     assert rec["checks"] == ["presentation", "reading-word", "bijection",
-                             "parabolic"]
+                             "product", "parabolic"]
 
 
 def test_verify_pair_collects_failures(monkeypatch):
@@ -366,14 +371,14 @@ def test_verify_pair_collects_failures(monkeypatch):
     report = verify_subset_pair(j, k)
     assert not report.passed
     assert report.witnesses == 12
-    assert report.failure_count == 36
+    assert report.failure_count == 38
     assert len(report.failures) == descents.cosets.MAX_FAILURES == 10
     assert report.failures[0].check in ("presentation", "reading-word")
     text = report.to_text()
     assert text.startswith("FAIL")
     assert "more" in text
     rec = report.record()
-    assert rec["passed"] is False and rec["failure_count"] == 36
+    assert rec["passed"] is False and rec["failure_count"] == 38
     assert rec["failures"] == [
         {"x": f.x_text, "check": f.check, "detail": f.detail}
         for f in report.failures]
@@ -447,6 +452,73 @@ def test_verify_pair_names_a_wrong_reading_word(monkeypatch):
         f"  x=231 [bijection] table [1 0; 0 2] {foreign}",
         "  x=- [bijection] no witness hits table [1 1; 0 1]",
         "  x=- [bijection] no witness hits table [0 2; 1 0]",
+    ]
+    # at J={1,2}, K={1,3} the two witnesses trade their tables, so the
+    # tables hit are still the margin matrices and the meets, which give
+    # the presentations and the product, are right: only the reading-word
+    # check sees the fault
+    report = verify_subset_pair(GeneratorSubset(4, {1, 2}),
+                                GeneratorSubset(4, {1, 3}))
+    assert report.to_text().splitlines() == [
+        "FAIL n=4 J={1,2} K={1,3} witnesses=2",
+        "  failures: 2",
+        "  x=1234 [reading-word] component sizes (2, 1, 1) "
+        "!= reading word (1, 1, 2)",
+        "  x=1423 [reading-word] component sizes (1, 1, 2) "
+        "!= reading word (2, 1, 1)",
+    ]
+
+
+def _patch_kernel(monkeypatch, request, rows, cols, moves):
+    """Make the table route's sweep add ``moves[word]`` to each word's
+    count for the margins ``rows`` and ``cols``, a kernel fault in the
+    product B(cols)·B(rows); products are cleared before and after."""
+    real = backend.reading_word_counts
+
+    def faulty(row_margins, col_margins, n):
+        counts = real(row_margins, col_margins, n)
+        if (row_margins, col_margins) == (rows, cols):
+            for word, delta in moves.items():
+                counts[word] = counts.get(word, 0) + delta
+        return {word: c for word, c in counts.items() if c}
+
+    monkeypatch.setattr(backend, "reading_word_counts", faulty)
+    algebra._solomon.cache_clear()
+    request.addfinalizer(algebra._solomon.cache_clear)
+
+
+def test_verify_pair_names_a_dropped_table(capsys, monkeypatch, request):
+    # one of the two tables of B(2,1,2)·B(1,2,2) with reading word
+    # 1,1,1,2 is dropped: the lemma scope, run alone or with the parabolic
+    # check, fails on that pair only, through the product
+    _patch_kernel(monkeypatch, request, (1, 2, 2), (2, 1, 2),
+                  {(1, 1, 1, 2): -1})
+    for scope in ("--lemma", "--parabolic"):
+        assert descents.cli.main(["verify", "5", scope]) == 1
+        assert "failures=1)" in capsys.readouterr().out
+    report = verify_subset_pair(GeneratorSubset(5, {1, 4}),
+                                GeneratorSubset(5, {2, 4}))
+    assert report.to_text().splitlines() == [
+        "FAIL n=5 J={1,4} K={2,4} witnesses=11",
+        "  failures: 1",
+        "  x=- [product] B(1,1,1,2): 2 witnesses, coefficient 1",
+    ]
+
+
+def test_verify_pair_names_a_refiled_count(monkeypatch, request):
+    # one count of B(4,1,1,1)·B(4,3) moves from 4,1,1,1 to 3,2,2, whose
+    # multinomials are equal: the counting identity still holds, and the
+    # product check names both words
+    _patch_kernel(monkeypatch, request, (4, 3), (4, 1, 1, 1),
+                  {(4, 1, 1, 1): -1, (3, 2, 2): 1})
+    kappa, nu = Composition((4, 1, 1, 1)), Composition((4, 3))
+    assert counting_identity_holds(kappa, nu, max_degree=7)
+    report = verify_subset_pair(GeneratorSubset(7, {1, 2, 3}),
+                                GeneratorSubset(7, {1, 2, 3, 5, 6}),
+                                max_degree=7)
+    assert [(f.x_text, f.check, f.detail) for f in report.failures] == [
+        ("-", "product", "B(3,2,2): 0 witnesses, coefficient 1"),
+        ("-", "product", "B(4,1,1,1): 1 witnesses, coefficient 0"),
     ]
 
 
@@ -522,7 +594,8 @@ def test_verify_pair_names_a_wrong_prediction(monkeypatch):
 def test_verify_pair_names_a_witness_listed_twice(monkeypatch):
     # the double set yields the very same witness object a second time:
     # the table it hits again was hit by that object, and the repeat is
-    # still named
+    # still named; counted twice, it also gives the product one witness
+    # too many
     j = GeneratorSubset(3, {2})
     k = GeneratorSubset(3, {1})
     real = list(enumerate_double_set(j, k))
@@ -531,8 +604,9 @@ def test_verify_pair_names_a_witness_listed_twice(monkeypatch):
     report = verify_subset_pair(j, k)
     assert report.to_text().splitlines() == [
         "FAIL n=3 J={2} K={1} witnesses=3",
-        "  failures: 1",
+        "  failures: 2",
         "  x=123 [bijection] table [1 1; 0 1] already hit by 123",
+        "  x=- [product] B(1,1,1): 2 witnesses, coefficient 1",
     ]
 
 
@@ -610,7 +684,8 @@ def test_pair_report_value_semantics():
                                 GeneratorSubset(3, [2]))
     assert repr(report) == (
         "PairReport(n=3, j_members=(1,), k_members=(2,), checks=("
-        "'presentation', 'reading-word', 'bijection', 'parabolic'), "
+        "'presentation', 'reading-word', 'bijection', 'product', "
+        "'parabolic'), "
         "witnesses=2, failure_count=0, failures=[])")
     failure = PairFailure("132", "bijection", "no witness")
     assert repr(failure) == (

@@ -107,7 +107,8 @@ def elements(draw, max_n, count):
 def test_reading_word_counts_tally_the_tables(pair):
     n, kappa, nu = pair
     tally = Counter(tuple(v for row in table for v in row if v)
-                    for table in backend.enumerate_tables(nu, kappa))
+                    for table in contingency_tables(Composition(nu),
+                                                    Composition(kappa)))
     assert backend.reading_word_counts(nu, kappa, n) == tally
 
 
