@@ -268,10 +268,7 @@ def oracle_agrees(kappa: Composition, nu: Composition,
 
 def left_rep_count(nu: Composition) -> int:
     """``n! / prod(nu_i!)``, the size of ``X_nu``."""
-    count = math.factorial(nu.n)
-    for p in nu:
-        count //= math.factorial(p)
-    return count
+    return math.factorial(nu.n) // math.prod(map(math.factorial, nu))
 
 
 def reading_multinomial_sum(kappa: Composition, nu: Composition,

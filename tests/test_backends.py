@@ -301,6 +301,13 @@ def test_enumerate_tables_margin_validation():
             ((), (), 0, "margins must be non-empty"),
             ((1, 2), (2, 1), 4, "margins must be margins of compositions "
                                 "of n"),
+            # a one-row table is its column sums, returned only after the
+            # same checks
+            ((3,), (2, 2), 3, "row and column margins must have equal "
+                              "totals"),
+            ((4,), (4,), 3, "margins must be margins of compositions of n"),
+            ((3,), (0, 3), 3, "margins must be positive"),
+            ((3,), (), 3, "margins must be non-empty"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             backend.reading_word_counts(rows, cols, n)
@@ -371,15 +378,36 @@ def test_reading_word_counts_merges_each_row():
 
 def test_row_cache_is_bounded():
     info = backend._merged_row.cache_info()
-    # every key of a product table through n=8 fits
-    assert info.maxsize is not None and info.maxsize >= 1793
-    # a full n=7 sweep reaches (7 - 1) * 2**7 + 1 keys
+    # every key of a product table through n=9 fits
+    assert info.maxsize is not None and info.maxsize >= 3586
+    # the forced last row is never looked up, so a full n=7 sweep reaches
+    # (7 - 2) * 2**7 + 2 keys
     backend._merged_row.cache_clear()
     comps = list(compositions(7))
     for kappa in comps:
         for nu in comps:
             backend.reading_word_counts(nu, kappa, 7)
-    assert backend._merged_row.cache_info().currsize == 769
+    assert backend._merged_row.cache_info().currsize == 642
+
+
+def test_sweep_never_looks_up_the_forced_last_row(monkeypatch):
+    # every ordered pair with n <= 6: no row whose sum is all the column
+    # sums left goes through the row cache, and the words stay exact
+    merged_row = backend._merged_row
+    forced = []
+
+    def watched(total, cols):
+        if total == sum(cols):
+            forced.append((total, cols))
+        return merged_row(total, cols)
+
+    monkeypatch.setattr(backend, "_merged_row", watched)
+    for n in range(1, 7):
+        for nu in compositions(n):
+            for kappa in compositions(n):
+                assert (backend.reading_word_counts(nu, kappa, n)
+                        == brute_reading_word_counts(nu, kappa)), (nu, kappa)
+    assert forced == []
 
 
 def test_product_degree_guard_override_at_degree_30():
