@@ -457,5 +457,5 @@ def contingency_tables(row_margins: Composition, col_margins: Composition,
     for total in row_margins[:-1]:
         partial = [(rows + (row,), rest) for rows, cols in partial
                    for row, rest in _row_fillings(total, cols)]
-    for rows, cols in partial:
-        yield tuple.__new__(MarginMatrix, (*rows, cols))
+    return (tuple.__new__(MarginMatrix, (*rows, cols))
+            for rows, cols in partial)

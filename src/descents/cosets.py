@@ -30,7 +30,7 @@ import itertools
 from collections import defaultdict
 from functools import lru_cache
 from operator import getitem
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import solomon_multiply
 from .combinatorics import (
@@ -139,8 +139,7 @@ def enumerate_left_reps(k: GeneratorSubset,
     factorials of the component sizes.
     """
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
-    for x, _ in _rep_images(k.n, k.mask):
-        yield x
+    return (x for x, _ in _rep_images(k.n, k.mask))
 
 
 def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
@@ -153,9 +152,7 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
         raise degree_mismatch(j.n, k.n)
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
     j_mask = j.mask
-    for x, mask in _rep_images(k.n, k.mask):
-        if not mask & j_mask:
-            yield x
+    return (x for x, mask in _rep_images(k.n, k.mask) if not mask & j_mask)
 
 
 @lru_cache(maxsize=8)
@@ -275,64 +272,33 @@ def _presentation_subgroup(blocks) -> set[Permutation]:
     return members
 
 
-class _Record:
-    """A plain slotted value, so that importing the package loads no class
-    generator: it equals a record of its own type whose fields are equal,
-    prints as ``Name(slot=value, ...)`` in slot order, and is unhashable."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        pairs = map("{}={!r}".format, self.__slots__, self._fields())
-        return f"{type(self).__name__}({', '.join(pairs)})"
-
-
-class PairFailure(_Record):
+class PairFailure(NamedTuple):
     """One counterexample found while verifying a subset pair: the witness
     x as text (``-`` when none), the check it failed and what differed."""
 
-    __slots__ = ("x_text", "check", "detail")
-
-    def __init__(self, x_text: str, check: str, detail: str):
-        self.x_text = x_text
-        self.check = check
-        self.detail = detail
+    x_text: str
+    check: str
+    detail: str
 
     def record(self) -> dict:
         return {"x": self.x_text, "check": self.check, "detail": self.detail}
 
 
-class PairReport(_Record):
+class PairReport(NamedTuple):
     """Outcome of :func:`verify_subset_pair` for one (J, K) pair: the
     degree, both subsets' members, the checks run, the witnesses seen, the
     failures counted, and the first :data:`MAX_FAILURES` of them listed.
 
-    Each report gets a fresh ``failures`` list; the verification updates
-    the report in place, which is why a record is unhashable."""
+    A report is a tuple built once, so it compares, hashes, pickles and
+    prints by its fields, like the package's other tuple values."""
 
-    __slots__ = ("n", "j_members", "k_members", "checks", "witnesses",
-                 "failure_count", "failures")
-
-    def __init__(self, n: int, j_members: tuple[int, ...],
-                 k_members: tuple[int, ...], checks: tuple[str, ...],
-                 witnesses: int = 0, failure_count: int = 0,
-                 failures: list[PairFailure] | None = None):
-        self.n = n
-        self.j_members = j_members
-        self.k_members = k_members
-        self.checks = checks
-        self.witnesses = witnesses
-        self.failure_count = failure_count
-        self.failures = [] if failures is None else failures
+    n: int
+    j_members: tuple[int, ...]
+    k_members: tuple[int, ...]
+    checks: tuple[str, ...]
+    witnesses: int = 0
+    failure_count: int = 0
+    failures: tuple[PairFailure, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -396,7 +362,8 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
       are exactly the margin matrices of the pair: each repeated, missing
       or foreign table is one failure naming it (x ``-`` when no witness
       hits it).  The tables hit are compared with the margin matrices as
-      two sets, and both lists are walked only when they differ;
+      two sets; only when they differ are the foreign tables named, in
+      witness order, and then the missing ones, in listing order;
     * ``product`` - Solomon's Mackey formula: the witnesses counted by the
       composition of their meet equal ``solomon_multiply(kappa, nu)``
       (kappa from J, nu from K) as a dict.  Each composition that differs
@@ -406,7 +373,8 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
       yields exactly the Young subgroup of the intersection graph.
 
     Failures are collected up to :data:`MAX_FAILURES` instead of stopping
-    at the first; ``failure_count`` still counts them all.
+    at the first; ``failure_count`` still counts them all.  The report is
+    built once, after the last check, with its failures as a tuple.
     """
     if j.n != k.n:
         raise degree_mismatch(j.n, k.n)
@@ -414,11 +382,6 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     check_degree(n, max_degree, LEMMA_DEGREE_DEFAULT)
     if parabolic is None:
         parabolic = n <= PARABOLIC_DEGREE_DEFAULT
-
-    checks = ["presentation", "reading-word", "bijection", "product"]
-    if parabolic:
-        checks.append("parabolic")
-    report = PairReport(n, j.members, k.members, tuple(checks))
 
     j_blocks, kappa, _ = _subset_data(n, j.mask)
     k_blocks, nu, _ = _subset_data(n, k.mask)
@@ -428,11 +391,15 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
         k_subgroup = _presentation_subgroup(k_blocks)
         young = {}  # the Young subgroup of each meet, keyed by its mask
 
+    failures: list[PairFailure] = []
+    failure_count = 0
+
     def fail(x: Permutation | None, check: str, detail: str) -> None:
-        report.failure_count += 1
-        if len(report.failures) < MAX_FAILURES:
+        nonlocal failure_count
+        failure_count += 1
+        if len(failures) < MAX_FAILURES:
             x_text = "-" if x is None else x.to_text()
-            report.failures.append(PairFailure(x_text, check, detail))
+            failures.append(PairFailure(x_text, check, detail))
 
     tally = defaultdict(int)  # witnesses per meet mask
     hit: dict[MarginMatrix, Permutation] = {}
@@ -477,18 +444,15 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                      f"conjugated intersection has {len(conjugated)} "
                      f"elements, Young subgroup has {len(young[meet])}")
 
-    tables = list(contingency_tables(nu, kappa, max_degree=max_degree))
-    reference = set(tables)
+    reference = set(contingency_tables(nu, kappa, max_degree=max_degree))
     if hit.keys() != reference:
         for table, x in hit.items():
             if table not in reference:
                 fail(x, "bijection", f"table {table.to_text()} "
                                      "is not a margin matrix of the pair")
-        for table in tables:
-            if table not in hit:
-                fail(None, "bijection",
-                     f"no witness hits table {table.to_text()}")
-    report.witnesses = sum(tally.values())
+        # contingency_tables lists in descending row-major order
+        for table in sorted(reference - hit.keys(), reverse=True):
+            fail(None, "bijection", f"no witness hits table {table.to_text()}")
     mackey = defaultdict(int)  # witnesses per meet composition
     for meet, count in tally.items():
         mackey[_subset_data(n, meet)[1]] += count
@@ -498,4 +462,8 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
             if mackey[eta] != terms.get(eta, 0):
                 fail(None, "product", f"B({eta.to_text()}): {mackey[eta]} "
                      f"witnesses, coefficient {terms.get(eta, 0)}")
-    return report
+    checks = ("presentation", "reading-word", "bijection", "product")
+    if parabolic:
+        checks += ("parabolic",)
+    return PairReport(n, j.members, k.members, checks, sum(tally.values()),
+                      failure_count, tuple(failures))

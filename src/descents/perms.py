@@ -148,8 +148,8 @@ def enumerate_group(n: int, max_degree: int | None = None) -> Iterator[Permutati
     if n < 1:
         raise ValueError("degree must be at least 1")
     check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
-    for images in itertools.permutations(range(1, n + 1)):
-        yield tuple.__new__(Permutation, images)
+    return (tuple.__new__(Permutation, images)
+            for images in itertools.permutations(range(1, n + 1)))
 
 
 class _IntegerCombination:

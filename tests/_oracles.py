@@ -2,11 +2,12 @@
 
 Everything here is written from the definitions, on plain tuples, sharing
 no code with the package: filtering the whole group instead of generating,
-breadth-first search instead of counting inversions, dumb enumeration over
-entry ranges instead of pruned recursion.
+breadth-first search instead of counting inversions, rows enumerated over
+full entry ranges instead of the package's cached row fillings.
 """
 
 import itertools
+import operator
 from collections import deque
 
 
@@ -38,21 +39,22 @@ def bfs_lengths(n):
 
 
 def brute_tables(nu, kappa):
-    """Set of all margin matrices, enumerated row by row over full entry
-    ranges with the column check left to the end."""
-    s, r = len(nu), len(kappa)
-    rows_choices = []
-    for i in range(s):
-        rows_choices.append([
-            row for row in itertools.product(range(nu[i] + 1), repeat=r)
-            if sum(row) == nu[i]
-        ])
-    out = set()
-    for rows in itertools.product(*rows_choices):
-        if all(sum(rows[i][j] for i in range(s)) == kappa[j]
-               for j in range(r)):
-            out.add(tuple(rows))
-    return out
+    """Set of all margin matrices, grown row by row from every row over
+    full entry ranges; a partial table is dropped as soon as a column
+    sum exceeds its margin, and the column sums are checked at the end."""
+    r = len(kappa)
+    partial = [((), (0,) * r)]
+    for total in nu:
+        rows = [row for row in itertools.product(range(total + 1), repeat=r)
+                if sum(row) == total]
+        grown = []
+        for table, sums in partial:
+            for row in rows:
+                new_sums = tuple(map(operator.add, sums, row))
+                if all(map(operator.le, new_sums, kappa)):
+                    grown.append((table + (row,), new_sums))
+        partial = grown
+    return {table for table, sums in partial if sums == tuple(kappa)}
 
 
 def naive_convolve(a_items, b_items):

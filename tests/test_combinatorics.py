@@ -465,6 +465,24 @@ def test_contingency_tables_match_brute_force():
             assert (z.row_margins, z.col_margins) == (nu, kappa)
 
 
+def test_brute_tables_match_the_full_range_filter():
+    # the column-pruned oracle against the unpruned reference: every row
+    # over full entry ranges, every combination of rows, columns checked
+    # at the end
+    def full_range_tables(nu, kappa):
+        rows = [[row for row in itertools.product(range(total + 1),
+                                                  repeat=len(kappa))
+                 if sum(row) == total] for total in nu]
+        return {table for table in itertools.product(*rows)
+                if tuple(map(sum, zip(*table))) == kappa}
+
+    for n in range(1, 5):
+        for nu in all_compositions(n):
+            for kappa in all_compositions(n):
+                nu, kappa = tuple(nu), tuple(kappa)
+                assert brute_tables(nu, kappa) == full_range_tables(nu, kappa)
+
+
 def test_contingency_tables_pass_validation():
     # the tables are built unchecked; each must survive a validating
     # rebuild and have the margins it was asked for

@@ -20,6 +20,7 @@ from descents import (
     contingency_tables,
     counting_identity_holds,
     enumerate_double_set,
+    enumerate_group,
     enumerate_left_reps,
     graph_of_subset,
     intersection_table,
@@ -131,6 +132,20 @@ def test_enumerate_double_set_bound():
     full = GeneratorSubset(13, set(range(1, 13)))
     assert list(enumerate_double_set(full, full, max_degree=13)) == [
         Permutation.identity(13)]
+
+
+def test_streams_check_their_arguments_at_the_call():
+    # like solomon_multiply and verify_subset_pair, each public stream
+    # raises on bad arguments before anything iterates it
+    calls = [
+        lambda: contingency_tables(Composition((13,)), Composition((13,))),
+        lambda: enumerate_left_reps(GeneratorSubset(13, [1])),
+        lambda: enumerate_double_set(GeneratorSubset(3), GeneratorSubset(4)),
+        lambda: enumerate_group(0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_double_set_degree_mismatch():
@@ -676,8 +691,8 @@ def test_verify_pair_presentation_shortcut_is_exact(monkeypatch):
 
 
 def test_pair_report_value_semantics():
-    # the report types compare, print, pickle and copy by their fields,
-    # and stay unhashable, since a report's failures list grows
+    # the report types are tuples built once: they compare and hash as
+    # their fields, refuse assignment, and print, pickle and copy by field
     from descents.cosets import PairFailure, PairReport
 
     report = verify_subset_pair(GeneratorSubset(3, [1]),
@@ -686,42 +701,43 @@ def test_pair_report_value_semantics():
         "PairReport(n=3, j_members=(1,), k_members=(2,), checks=("
         "'presentation', 'reading-word', 'bijection', 'product', "
         "'parabolic'), "
-        "witnesses=2, failure_count=0, failures=[])")
+        "witnesses=2, failure_count=0, failures=())")
     failure = PairFailure("132", "bijection", "no witness")
     assert repr(failure) == (
         "PairFailure(x_text='132', check='bijection', detail='no witness')")
     failed = PairReport(3, (1,), (2,), ("bijection",), failure_count=1,
-                        failures=[failure])
+                        failures=(failure,))
     assert repr(failed) == (
         "PairReport(n=3, j_members=(1,), k_members=(2,), "
-        "checks=('bijection',), witnesses=0, failure_count=1, failures=["
-        "PairFailure(x_text='132', check='bijection', detail='no witness')])")
+        "checks=('bijection',), witnesses=0, failure_count=1, failures=("
+        "PairFailure(x_text='132', check='bijection', detail='no witness'),))")
 
     again = verify_subset_pair(GeneratorSubset(3, [1]),
                                GeneratorSubset(3, [2]))
     assert again == report and not again != report
-    again.witnesses += 1
-    assert again != report
+    assert hash(again) == hash(report)
+    assert again._replace(witnesses=3) != report
     assert failure == PairFailure("132", "bijection", "no witness")
     assert failure != PairFailure("132", "bijection", "other")
     assert report != (3, (1,), (2,))
-    assert failure != ("132", "bijection", "no witness")
-    for value in (report, failure):
-        with pytest.raises(TypeError):
-            hash(value)
+    assert report == tuple(report) and hash(report) == hash(tuple(report))
+    assert failure == ("132", "bijection", "no witness")
+    assert len({report, again, failed}) == 2
     for value in (report, failed, failure):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            value.extra = 1
         for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                       copy.deepcopy(value)):
             assert type(clone) is type(value)
-            assert clone == value
+            assert clone == value and hash(clone) == hash(value)
             assert repr(clone) == repr(value)
 
-    first = PairReport(3, (), (), ())
-    second = PairReport(3, (), (), ())
-    assert first.failures == [] and first.failures is not second.failures
-    first.failures.append(failure)
-    assert second.failures == []
-    assert (first.witnesses, first.failure_count) == (0, 0)
+    empty = PairReport(3, (), (), ())
+    assert empty.failures == () and empty.passed
+    assert (empty.witnesses, empty.failure_count) == (0, 0)
     assert PairReport(n=3, j_members=(), k_members=(), checks=(),
                       witnesses=4) == PairReport(3, (), (), (), 4)
 
