@@ -9,11 +9,15 @@ its reading word, so
 
 The group-algebra oracle recomputes the same product by brute force from
 the defining sums and must agree exactly.  :func:`oracle_agrees` compares
-the two in the byte words that :func:`backend.convolve` returns for the two
-indicators: S_n's permutations are listed once per degree by descent class,
-as byte words only, each indicator is read off the classes its composition
-allows, and the table product, expanded over the classes of non-zero
-weight, must equal the convolution as a dict.  Elements of both algebras
+the two in the byte words that :func:`backend.convolve` returns: S_n's
+permutations are listed once per degree by descent class, as byte words
+only, and each side is read off the classes as the indicator ``X_eta`` or,
+when that holds more than half of S_n, its complement ``C``.  With
+``e`` the sum of S_n, ``1_X = e - 1_C`` and ``e*f = eps(f)*e``, so the
+product is ``alpha*e + s*(A*B)`` and the table product, shifted by
+``alpha`` and signed by ``s`` over its classes, must equal the
+convolution as a dict.  Only ``B(1^n)``, all of S_n, is complemented, so
+a side of ``B(1^n)`` costs no term pairs.  Elements of both algebras
 share one base, ``perms._IntegerCombination``, for their coefficient
 arithmetic; :func:`to_group_algebra` and :func:`oracle_multiply` build them
 from the same word list, as the reference the lean comparison must match.
@@ -227,12 +231,19 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
     The verdict is what comparing ``to_group_algebra(solomon_multiply(kappa,
     nu))`` with ``oracle_multiply(kappa, nu)`` gives, reached without
     building either element, in the byte words that
-    :func:`backend.convolve` returns for the two indicators, each read off
-    the descent classes whose index misses its composition's mask, as
-    ``(word, 1)`` pairs.  The table product is expanded once, as a
-    ``{word: coefficient}`` dict over the classes of non-zero weight, and
-    the two agree when that dict equals the convolution; otherwise the
-    smallest word on which they differ is named.
+    :func:`backend.convolve` returns.  Each side hands it ``(word, 1)``
+    pairs: the indicator ``X_eta``, read off the descent classes whose
+    index misses its composition's mask, when ``|X_eta| <= n!/2``, and
+    otherwise its complement ``S_n - X_eta``, the classes whose index
+    meets the mask.  With ``e`` the sum of S_n, ``1_X = e - 1_C`` and
+    ``e*f = eps(f)*e``, so the product is ``alpha*e + s*(A*B)``: with one
+    side complemented ``s = -1`` and ``alpha`` is the other operand's
+    size, with both ``s = +1`` and ``alpha = n! - |A| - |B|``.  The
+    table product is expanded once, as ``{word: s*(w_d - alpha)}`` over
+    the classes whose weight ``w_d`` is not ``alpha``, and the two agree
+    when that dict equals the convolution; otherwise the smallest word
+    on which they differ is named, with ``w_d`` (0 off S_n) and the
+    oracle's ``alpha*[word in S_n] + s*convolution(word)``.
     """
     n = kappa.n
     if n != nu.n:
@@ -241,20 +252,34 @@ def oracle_mismatch(kappa: Composition, nu: Composition,
     weights = _class_weights(solomon_multiply(kappa, nu,
                                               max_degree=max_degree))
     classes = _descent_classes(n)
-    x_kappa, x_nu = ([(z, 1) for d, words in enumerate(classes)
-                      if not d & mask for z in words]
-                     for mask in map(_composition_mask, (kappa, nu)))
+    order = math.factorial(n)
+    sign, operands, sizes = 1, [], []
+    for comp in (kappa, nu):
+        mask, size = _composition_mask(comp), left_rep_count(comp)
+        # X_eta, or its complement when that is smaller
+        keep = 2 * size <= order
+        operands.append([(z, 1) for d, words in enumerate(classes)
+                         if (not d & mask) == keep for z in words])
+        sizes.append(size)
+        if not keep:
+            sign = -sign
+    # the product is alpha*e + sign*(A*B), so its augmentation
+    # |X_kappa| * |X_nu| is alpha*n! + sign*|A|*|B|
+    a_size, b_size = map(len, operands)
+    alpha = (sizes[0] * sizes[1] - sign * a_size * b_size) // order
     # through the module attribute, so a wrapper on it sees every check
-    oracle = backend.convolve(n, x_kappa, x_nu)
-    table = {z: w for words, w in zip(classes, weights) if w
-             for z in words}
-    if table == oracle:
+    oracle = backend.convolve(n, *operands)
+    want = {z: sign * (w - alpha) for words, w in zip(classes, weights)
+            if w != alpha for z in words}
+    if want == oracle:
         return None
     get = oracle.get
-    word = min(z for z in table.keys() | oracle.keys()
-               if table.get(z, 0) != get(z, 0))
+    word = min(z for z in want.keys() | oracle.keys()
+               if want.get(z, 0) != get(z, 0))
+    table = {z: w for words, w in zip(classes, weights) for z in words}
+    # alpha*e lies on the permutations only
     return (tuple.__new__(Permutation, word), table.get(word, 0),
-            get(word, 0))
+            alpha * (word in table) + sign * get(word, 0))
 
 
 def oracle_agrees(kappa: Composition, nu: Composition,

@@ -241,8 +241,9 @@ def test_oracle_classes_listed_once_across_bounds(capsys):
 
 
 def test_oracle_convolves_the_indicators_read_off_the_classes(monkeypatch):
-    # each check hands the module attribute X_kappa on the left and X_nu on
-    # the right, as sized lists of (word, 1) pairs
+    # each check hands the module attribute, once, X_kappa on the left and
+    # X_nu on the right, or the complement S_n - X_eta of a side that holds
+    # more than half of S_n, as lists of (word, 1) pairs
     operands = []
     convolve = backend.convolve
 
@@ -252,20 +253,94 @@ def test_oracle_convolves_the_indicators_read_off_the_classes(monkeypatch):
 
     monkeypatch.setattr(backend, "convolve", capture)
     for n in range(1, 6):
+        group = set(map(bytes, itertools.permutations(range(1, n + 1))))
         comps = all_compositions(n)
-        reps = {comp: {bytes(x) for x in
-                       enumerate_left_reps(composition_to_subset(comp))}
-                for comp in comps}
+        smaller = {}
+        for comp in comps:
+            reps = {bytes(x) for x in
+                    enumerate_left_reps(composition_to_subset(comp))}
+            smaller[comp] = (reps if 2 * len(reps) <= len(group)
+                             else group - reps)
         for kappa, nu in itertools.product(comps, comps):
             operands.clear()
             verdict = oracle_agrees(kappa, nu)
             (a_items, b_items), = operands
             for items, comp in ((a_items, kappa), (b_items, nu)):
                 assert type(items) is list, (kappa, nu)
-                assert len(items) == len(reps[comp]), (kappa, nu)
-                assert {z for z, _ in items} == reps[comp], (kappa, nu)
-                assert {c for _, c in items} == {1}, (kappa, nu)
+                assert len(items) == len(smaller[comp]), (kappa, nu)
+                assert {z for z, _ in items} == smaller[comp], (kappa, nu)
+                assert {c for _, c in items} <= {1}, (kappa, nu)
             assert verdict, (kappa, nu)
+    # only B(1^n) holds more than half of S_n, and its complement is empty
+    assert [comp for comp in comps if not smaller[comp]] == [
+        Composition((1,) * 5)]
+
+
+# B(1,1,1,1) is all of S_4, so the oracle convolves its empty complement
+# and the honest convolution is {}; B(2,1,1) holds half of S_4 and is kept.
+# The product is alpha*e + s*(A*B): alpha = 12, s = -1 with one side
+# complemented, alpha = 24, s = +1 with both, so a count off by d on a
+# permutation moves the oracle's coefficient by s*d, and alpha lies on the
+# permutations only.
+@pytest.mark.parametrize("kappa,nu,fault,named", [
+    *(pytest.param(k, v, f, want, id=f"{name}-{f}")
+      for k, v, name in (((1, 1, 1, 1), (2, 1, 1), "1111x211"),
+                         ((2, 1, 1), (1, 1, 1, 1), "211x1111"))
+      for f, want in (("drop", ("4321", 12, 13)),
+                      ("move", ("1234", 12, 13)),
+                      ("non-permutation", ("1134", 0, -1)))),
+    *(pytest.param((1, 1, 1, 1), (1, 1, 1, 1), f, want, id=f"1111x1111-{f}")
+      for f, want in (("drop", ("4321", 24, 23)),
+                      ("move", ("1234", 24, 23)),
+                      ("non-permutation", ("1134", 0, 1))))])
+def test_complemented_pairs_catch_convolution_faults(monkeypatch, kappa, nu,
+                                                     fault, named):
+    delta = {
+        "drop": {bytes((4, 3, 2, 1)): -1},
+        "move": {bytes((1, 2, 3, 4)): -1, bytes((4, 3, 2, 1)): 1},
+        "non-permutation": {bytes((1, 1, 3, 4)): 1},
+    }[fault]
+    convolve = backend.convolve
+
+    def faulty(n, a_items, b_items):
+        out = convolve(n, a_items, b_items)
+        for word, d in delta.items():
+            out[word] = out.get(word, 0) + d
+            if not out[word]:
+                del out[word]
+        return out
+
+    kappa, nu = Composition(kappa), Composition(nu)
+    assert oracle_agrees(kappa, nu)
+    monkeypatch.setattr(backend, "convolve", faulty)
+    perm, table_coeff, oracle_coeff = oracle_mismatch(kappa, nu)
+    word, table_want, oracle_want = named
+    assert perm == tuple(map(int, word))
+    assert (table_coeff, oracle_coeff) == (table_want, oracle_want)
+    assert not oracle_agrees(kappa, nu)
+
+
+def test_oracle_work_depends_only_on_the_multisets_of_parts(monkeypatch):
+    # each check convolves the smaller of X_eta and its complement on both
+    # sides, whose sizes n!/prod(eta_i!) do not see the order of the parts
+    pairs = []
+
+    def record(n, a_items, b_items):
+        pairs.append(len(a_items) * len(b_items))
+        return {}
+
+    monkeypatch.setattr(backend, "convolve", record)
+    for n in range(1, 7):
+        work = {}
+        comps = all_compositions(n)
+        for kappa, nu in itertools.product(comps, comps):
+            pairs.clear()
+            oracle_mismatch(kappa, nu)
+            (count,), shape = pairs, (tuple(sorted(kappa)), tuple(sorted(nu)))
+            assert work.setdefault(shape, count) == count, (kappa, nu)
+    # one round of the 121 ordered partition pairs at n=6
+    assert len(work) == 121
+    assert sum(work.values()) == 777_924 == 882 ** 2
 
 
 def test_oracle_multiply_counts_products_directly():
