@@ -271,7 +271,8 @@ def test_oracle_convolves_the_indicators_read_off_the_classes(monkeypatch):
                 assert {z for z, _ in items} == smaller[comp], (kappa, nu)
                 assert {c for _, c in items} <= {1}, (kappa, nu)
             assert verdict, (kappa, nu)
-    # only B(1^n) holds more than half of S_n, and its complement is empty
+    # at n=5 only B(1^5) holds more than half of S_5, and its complement
+    # is empty
     assert [comp for comp in comps if not smaller[comp]] == [
         Composition((1,) * 5)]
 
@@ -336,7 +337,8 @@ def test_oracle_work_depends_only_on_the_multisets_of_parts(monkeypatch):
         for kappa, nu in itertools.product(comps, comps):
             pairs.clear()
             oracle_mismatch(kappa, nu)
-            (count,), shape = pairs, (tuple(sorted(kappa)), tuple(sorted(nu)))
+            (count,) = pairs
+            shape = tuple(sorted(kappa)), tuple(sorted(nu))
             assert work.setdefault(shape, count) == count, (kappa, nu)
     # one round of the 121 ordered partition pairs at n=6
     assert len(work) == 121
