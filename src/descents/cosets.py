@@ -16,7 +16,11 @@ the intersection holding it, so a representative is read as one list of
 cell keys, in C: counted, the keys give its table, and grouped, its
 predicted presentation.  A witness's intersection graph is the graph of
 ``x^{-1} J x & K``, whose mask is read from x's adjacent values and looked
-up in the subset cache.
+up in the subset cache.  Walked in lexicographic order, the double set
+meets the pair's margin matrices in the order ``contingency_tables``
+lists them, largest first, so the bijection check compares each
+witness's table with the next one listed and hashes tables only when a
+witness leaves that order.
 
 >>> from .combinatorics import GeneratorSubset
 >>> k = GeneratorSubset(3, [2])
@@ -29,8 +33,8 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from functools import lru_cache
-from operator import getitem
-from typing import Iterator, NamedTuple
+from operator import getitem, itemgetter
+from typing import Callable, Iterator, NamedTuple
 
 from .algebra import solomon_multiply
 from .combinatorics import (
@@ -136,7 +140,8 @@ def enumerate_left_reps(k: GeneratorSubset,
 
     Representatives are generated directly as block interleavings (never by
     filtering all of S_n); the count is ``n!`` over the product of the
-    factorials of the component sizes.
+    factorials of the component sizes.  :func:`verify_subset_pair` relies
+    on the order for speed, not for its verdict.
     """
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
     return (x for x, _ in _rep_images(k.n, k.mask))
@@ -147,7 +152,11 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
     """Permutations lying in ``X_K`` whose inverses lie in ``X_J``.
 
     x^{-1} lies in ``X_J`` when it has no descent in J, so each stored
-    representative is kept when its inverse's descent mask misses J."""
+    representative is kept when its inverse's descent mask misses J.
+    The stream keeps ``X_K``'s lexicographic order, in which the witnesses'
+    tables come in the listing order of ``contingency_tables``;
+    :func:`verify_subset_pair` relies on that for speed, not for its
+    verdict."""
     if j.n != k.n:
         raise degree_mismatch(j.n, k.n)
     check_degree(k.n, max_degree, BASIS_DEGREE_MAX)
@@ -157,23 +166,34 @@ def enumerate_double_set(j: GeneratorSubset, k: GeneratorSubset,
 
 @lru_cache(maxsize=8)
 def _key_grid(n: int, j_mask: int, k_mask: int) -> tuple[
-        tuple[list[int], ...], int, int, list[int]]:
+        tuple[list[int], ...], Callable[[tuple[int, ...]], tuple], int,
+        list[int]]:
     """For the pair of subsets of degree n with these masks: the key grid,
-    r (J's block count), the cell count r * c, and the list ``1..n``.
+    the row slicer, the cell count r * c (r blocks in J, c in K), and the
+    list ``1..n``.
 
     Cell ``(m, q)`` holds ``x^{-1}(J_q) & K_m`` and has key ``m * r + q``,
     the blocks in :func:`_subset_data` order.  Position p lies in ``K_m``
     for ``m = where_K[p]`` and in ``x^{-1}(J_q)`` for ``q = where_J[x(p)]``,
     so grid row p-1 maps each value v to ``where_K[p] * r + where_J[v]``.
-    A pair's witnesses are read one after another, so a few entries
-    serve.  The rows are lists: evicted row tuples of n+1 ints would pile
-    up on the interpreter's free list for tuples of that length."""
+    The row slicer cuts a flat tuple of cell counts into its c rows of r
+    in one C call, an ``itemgetter`` of the r-wide slices (a one-row
+    table is the counts themselves).  A pair's witnesses are read one
+    after another, so a few entries serve.  The grid rows are lists:
+    evicted row tuples of n+1 ints would pile up on the interpreter's
+    free list for tuples of that length."""
     j_blocks, _, j_where = _subset_data(n, j_mask)
     k_blocks, _, k_where = _subset_data(n, k_mask)
     r = len(j_blocks)
+    c = len(k_blocks)
     grid = tuple([k_where[p] * r + q for q in j_where]
                  for p in range(1, n + 1))
-    return grid, r, r * len(k_blocks), list(range(1, n + 1))
+    if c > 1:
+        rows = itemgetter(*[slice(m * r, m * r + r) for m in range(c)])
+    else:
+        def rows(counts):
+            return (counts,)
+    return grid, rows, r * c, list(range(1, n + 1))
 
 
 def _keys(x: Permutation, grid) -> list[int]:
@@ -182,20 +202,24 @@ def _keys(x: Permutation, grid) -> list[int]:
     return list(map(getitem, grid, x))
 
 
-def _counts(keys: list[int], size: int) -> list[int]:
+def _counts(keys: list[int], size: int) -> tuple[int, ...]:
     """How many keys fall in each of the ``size`` cells, in key order:
-    the intersection table, flattened row by row."""
+    the intersection table, flattened row by row, as a tuple for the row
+    slicer.  CPython 3.11 files a freed tuple of 20 items on its free
+    list but takes none of that length back from it, so pairs of 20
+    cells park up to 2 000 of these tuples there, about 0.4 MiB once."""
     counts = [0] * size
     for key in keys:
         counts[key] += 1
-    return counts
+    return tuple(counts)
 
 
-def _table(counts: list[int], r: int) -> MarginMatrix:
-    """The flat counts ``counts[m * r + q]`` as rows of r, built unchecked:
-    the cells split two partitions of ``1..n``, so the margins hold by
+def _table(counts: tuple[int, ...], rows) -> MarginMatrix:
+    """The flat counts ``counts[m * r + q]`` cut into rows of r by the
+    pair's row slicer (:func:`_key_grid`), built unchecked: the cells
+    split two partitions of ``1..n``, so the margins hold by
     construction."""
-    return tuple.__new__(MarginMatrix, zip(*[iter(counts)] * r))
+    return tuple.__new__(MarginMatrix, rows(counts))
 
 
 def _prediction(keys: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -208,9 +232,9 @@ def _prediction(keys: list[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def _witness_keys(x: Permutation, j: GeneratorSubset,
-                  k: GeneratorSubset) -> tuple[list[int], int, int]:
-    """x's key list, r and the cell count; raise unless x is a double
-    representative of the pair.
+                  k: GeneratorSubset) -> tuple[list[int], Callable, int]:
+    """x's key list, the pair's row slicer and the cell count; raise
+    unless x is a double representative of the pair.
 
     It is one exactly when its keys never fall along the positions and a
     stable sort of x by the J block of each value gives ``1..n``; the
@@ -222,13 +246,13 @@ def _witness_keys(x: Permutation, j: GeneratorSubset,
     n = j.n
     if len(x) != n or n != k.n:
         raise degree_mismatch(len(x), n, k.n)
-    grid, r, size, identity = _key_grid(n, j.mask, k.mask)
+    grid, rows, size, identity = _key_grid(n, j.mask, k.mask)
     keys = _keys(x, grid)
     # grid row 0 is K's first block, so it maps v to the block of v in J
     if keys != sorted(keys) or sorted(x, key=grid[0].__getitem__) != identity:
         raise ValueError(
             f"{x.to_text()} is not a double representative for the given pair")
-    return keys, r, size
+    return keys, rows, size
 
 
 def intersection_table(x: Permutation, j: GeneratorSubset,
@@ -244,8 +268,8 @@ def intersection_table(x: Permutation, j: GeneratorSubset,
     gives the table, with no inverse, no set operations and no list of
     positions.
     """
-    keys, r, size = _witness_keys(x, j, k)
-    return _table(_counts(keys, size), r)
+    keys, rows, size = _witness_keys(x, j, k)
+    return _table(_counts(keys, size), rows)
 
 
 def predicted_presentation(x: Permutation, j: GeneratorSubset,
@@ -361,9 +385,19 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
     * ``bijection`` - no two witnesses share a table, and the tables hit
       are exactly the margin matrices of the pair: each repeated, missing
       or foreign table is one failure naming it (x ``-`` when no witness
-      hits it).  The tables hit are compared with the margin matrices as
-      two sets; only when they differ are the foreign tables named, in
-      witness order, and then the missing ones, in listing order;
+      hits it).  The margin matrices are listed once, before the walk,
+      and the witnesses are met in step with the list: witness i is in
+      step when its table is the i-th listed and below the one before,
+      so no table is hashed.  This is the order the walk gives (each
+      block of K takes the least unused values of each J block, in
+      increasing order, so a table larger in row-major order puts a
+      smaller value first), but the order decides only the speed.  At
+      the first witness out of step, the tables met so far start a dict
+      of tables hit, and the walk goes on with it; a walk that left the
+      order or stopped short of the list's end compares the tables hit
+      with the listed ones as two sets, and only when they differ are
+      the foreign tables named, in witness order, and then the missing
+      ones, in listing order;
     * ``product`` - Solomon's Mackey formula: the witnesses counted by the
       composition of their meet equal ``solomon_multiply(kappa, nu)``
       (kappa from J, nu from K) as a dict.  Each composition that differs
@@ -385,7 +419,7 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
 
     j_blocks, kappa, _ = _subset_data(n, j.mask)
     k_blocks, nu, _ = _subset_data(n, k.mask)
-    grid, r, size, _ = _key_grid(n, j.mask, k.mask)
+    grid, rows, size, _ = _key_grid(n, j.mask, k.mask)
     if parabolic:
         j_subgroup = _presentation_subgroup(j_blocks)
         k_subgroup = _presentation_subgroup(k_blocks)
@@ -402,7 +436,12 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
             failures.append(PairFailure(x_text, check, detail))
 
     tally = defaultdict(int)  # witnesses per meet mask
-    hit: dict[MarginMatrix, Permutation] = {}
+    listed = list(contingency_tables(nu, kappa, max_degree=max_degree))
+    # while witness i hits listed[i], below listed[i-1], only the
+    # witnesses are kept; the first that does not starts the dict of
+    # tables hit, from the witnesses in step
+    in_step: list[Permutation] = []
+    hit: dict[MarginMatrix, Permutation] | None = None
     for x in enumerate_double_set(j, k, max_degree=max_degree):
         meet = _meet(x, j, k)
         tally[meet] += 1
@@ -428,12 +467,20 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                 fail(x, "reading-word",
                      f"component sizes {tuple(sizes)} "
                      f"!= reading word {tuple(word)}")
-        table = _table(counts, r)
-        if table in hit:
-            fail(x, "bijection", f"table {table.to_text()} "
-                                 f"already hit by {hit[table].to_text()}")
-        else:
-            hit[table] = x
+        table = _table(counts, rows)
+        if hit is None:
+            i = len(in_step)
+            if (i < len(listed) and table == listed[i]
+                    and (not i or table < listed[i - 1])):
+                in_step.append(x)
+            else:
+                hit = dict(zip(listed, in_step))
+        if hit is not None:
+            if table in hit:
+                fail(x, "bijection", f"table {table.to_text()} "
+                                     f"already hit by {hit[table].to_text()}")
+            else:
+                hit[table] = x
         if parabolic:
             xinv = x.inverse()
             conjugated = {xinv * w * x for w in j_subgroup} & k_subgroup
@@ -444,8 +491,11 @@ def verify_subset_pair(j: GeneratorSubset, k: GeneratorSubset,
                      f"conjugated intersection has {len(conjugated)} "
                      f"elements, Young subgroup has {len(young[meet])}")
 
-    reference = set(contingency_tables(nu, kappa, max_degree=max_degree))
-    if hit.keys() != reference:
+    # a walk in step to the list's end hit each listed table once; one
+    # that left the order or stopped short compares the two sets
+    if hit is None and len(in_step) < len(listed):
+        hit = dict(zip(listed, in_step))
+    if hit is not None and hit.keys() != (reference := set(listed)):
         for table, x in hit.items():
             if table not in reference:
                 fail(x, "bijection", f"table {table.to_text()} "

@@ -278,6 +278,25 @@ def test_intersection_table_bijective_onto_margin_matrices():
                 assert set(image) == set(contingency_tables(nu, kappa))
 
 
+def test_double_set_meets_the_tables_in_listing_order():
+    # walked in lexicographic order, the double set hits the margin
+    # matrices in the descending row-major order contingency_tables lists
+    # them: the lemma check walks the two lists in step, and leaves them
+    # for a dict of the tables hit only when this order fails
+    pairs = 0
+    for n in range(1, 7):
+        subsets = all_generator_subsets(n)
+        for j in subsets:
+            kappa = subset_to_composition(j)
+            for k in subsets:
+                nu = subset_to_composition(k)
+                image = [intersection_table(x, j, k)
+                         for x in enumerate_double_set(j, k)]
+                assert image == list(contingency_tables(nu, kappa)), (j, k)
+                pairs += 1
+    assert pairs == 1365
+
+
 def test_intersection_table_rejects_non_representative():
     j = GeneratorSubset(3, {2})
     k = GeneratorSubset(3, {1})
@@ -344,6 +363,20 @@ def test_verify_subset_pair_passes_everywhere_small():
                 assert "parabolic" in report.checks
                 assert report.witnesses == sum(
                     1 for _ in enumerate_double_set(j, k))
+
+
+def test_lemma_certifies_every_product_of_degree_7():
+    # the lemma route, product check included, passes on all 4 096 pairs
+    # at n=7: its witness tally equals solomon_multiply on each
+    pairs = witnesses = 0
+    subsets = all_generator_subsets(7)
+    for j in subsets:
+        for k in subsets:
+            report = verify_subset_pair(j, k, parabolic=False, max_degree=7)
+            assert report.passed, report.to_text()
+            pairs += 1
+            witnesses += report.witnesses
+    assert (pairs, witnesses) == (4096, 546193)
 
 
 def test_verify_pair_parabolic_auto_off_above_five():
@@ -623,6 +656,59 @@ def test_verify_pair_names_a_witness_listed_twice(monkeypatch):
         "  x=123 [bijection] table [1 1; 0 1] already hit by 123",
         "  x=- [product] B(1,1,1): 2 witnesses, coefficient 1",
     ]
+
+
+ORDER_PAIRS = [(3, {2}, {1}), (4, set(), {2}), (4, {1, 3}, {2}),
+               (4, {1}, {3}), (5, {2, 4}, {1, 3}), (5, {2}, {1, 4})]
+
+
+@pytest.mark.parametrize("n,j_members,k_members", ORDER_PAIRS)
+def test_verify_pair_report_does_not_depend_on_the_order(
+        monkeypatch, n, j_members, k_members):
+    # the walk in step is a shortcut: with the true tables listed in
+    # another order or one of them listed twice, and with the witnesses
+    # walked in reverse, the report is the one the sets give, failures,
+    # their order and their text included; one count too many in each
+    # table's first cell makes every table hit foreign to the pair
+    cosets = descents.cosets
+    j = GeneratorSubset(n, j_members)
+    k = GeneratorSubset(n, k_members)
+    real = list(contingency_tables(subset_to_composition(k),
+                                   subset_to_composition(j)))
+    walk = list(enumerate_double_set(j, k))
+    listings = {
+        "reversed": real[::-1],
+        "rotated": real[1:] + real[:1],
+        "first listed twice": real[:1] + real,
+        "middle listed twice": real[:2] + real[1:],
+        "last listed twice": real + real[-1:],
+    }
+    passing = verify_subset_pair(j, k)
+    assert passing.passed and passing.witnesses == len(real)
+    real_counts = cosets._counts
+
+    def one_too_many(keys, size):
+        counts = real_counts(keys, size)
+        return (counts[0] + 1,) + counts[1:]
+
+    for fault in (None, one_too_many):
+        if fault is not None:
+            monkeypatch.setattr(cosets, "_counts", fault)
+        want = verify_subset_pair(j, k)
+        for name, listing in listings.items():
+            monkeypatch.setattr(cosets, "contingency_tables",
+                                lambda *args, listing=listing, **kwargs:
+                                    iter(listing))
+            got = verify_subset_pair(j, k)
+            assert got.record() == want.record(), (name, fault)
+            assert got.to_text() == want.to_text(), (name, fault)
+        monkeypatch.undo()
+    assert not want.passed
+    monkeypatch.setattr(cosets, "enumerate_double_set",
+                        lambda *args, **kwargs: iter(walk[::-1]))
+    got = verify_subset_pair(j, k)
+    assert got.record() == passing.record()
+    assert got.to_text() == passing.to_text()
 
 
 def test_verify_pair_presentation_shortcut_is_exact(monkeypatch):
