@@ -440,16 +440,12 @@ def contingency_tables(row_margins: Composition, col_margins: Composition,
     the bound.
 
     Partial tables grow a row at a time, each extended in order by every
-    filling of the next row from the shared cache :func:`_row_fillings`.
-    The last row is forced: it is the column sums that the next-to-last
-    row leaves.  So the partial list stops before the next-to-last row,
-    whose fillings are looked up here, at the call, and each table is
-    built from one of them and the columns it leaves, as the reading-word
-    sweep does; no list is longer than the answer.  Each filling meets
-    its row sum and the column sums left, so tables are built unchecked;
-    tests pin them against brute-force enumeration.  The lemma check
-    (:func:`~descents.cosets.verify_subset_pair`) walks the double set in
-    step with this order.
+    filling of the next row from the shared cache :func:`_row_fillings`,
+    and the last row is forced, so no list is longer than the answer.
+    Each filling meets its row sum and the column sums left, so tables
+    are built unchecked; tests pin them against brute-force enumeration.
+    The lemma check (:func:`~descents.cosets.verify_subset_pair`) walks
+    the double set in step with this order.
 
     >>> [z.to_text() for z in contingency_tables(Composition((2, 1)),
     ...                                          Composition((1, 2)))]
@@ -459,16 +455,9 @@ def contingency_tables(row_margins: Composition, col_margins: Composition,
     if n != col_margins.n:
         raise degree_mismatch(n, col_margins.n)
     check_degree(n, max_degree, BASIS_DEGREE_MAX)
-    if len(row_margins) == 1:
-        return (tuple.__new__(MarginMatrix, (row,))
-                for row in (tuple(col_margins),))
     partial = [((), tuple(col_margins))]
-    for total in row_margins[:-2]:
+    for total in row_margins[:-1]:
         partial = [(rows + (row,), rest) for rows, cols in partial
                    for row, rest in _row_fillings(total, cols)]
-    # the last row is forced: the column sums each filling of the
-    # next-to-last row leaves
-    total = row_margins[-2]
-    last = [(rows, _row_fillings(total, cols)) for rows, cols in partial]
-    return (tuple.__new__(MarginMatrix, (*rows, row, rest))
-            for rows, fillings in last for row, rest in fillings)
+    return (tuple.__new__(MarginMatrix, (*rows, cols))
+            for rows, cols in partial)

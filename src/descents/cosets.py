@@ -188,11 +188,9 @@ def _key_grid(n: int, j_mask: int, k_mask: int) -> tuple[
     c = len(k_blocks)
     grid = tuple([k_where[p] * r + q for q in j_where]
                  for p in range(1, n + 1))
-    if c > 1:
-        rows = itemgetter(*[slice(m * r, m * r + r) for m in range(c)])
-    else:
-        def rows(counts):
-            return (counts,)
+    # an itemgetter of one slice would return the row, not a 1-tuple
+    rows = (itemgetter(*[slice(m * r, m * r + r) for m in range(c)])
+            if c > 1 else lambda counts: (counts,))
     return grid, rows, r * c, list(range(1, n + 1))
 
 
@@ -205,9 +203,8 @@ def _keys(x: Permutation, grid) -> list[int]:
 def _counts(keys: list[int], size: int) -> tuple[int, ...]:
     """How many keys fall in each of the ``size`` cells, in key order:
     the intersection table, flattened row by row, as a tuple for the row
-    slicer.  CPython 3.11 files a freed tuple of 20 items on its free
-    list but takes none of that length back from it, so pairs of 20
-    cells park up to 2 000 of these tuples there, about 0.4 MiB once."""
+    slicer.  (CPython 3.11 keeps up to 2 000 freed 20-item tuples on its
+    free list, about 0.4 MiB once, from pairs of 20 cells.)"""
     counts = [0] * size
     for key in keys:
         counts[key] += 1
