@@ -9,18 +9,12 @@ its reading word, so
 
 The group-algebra oracle recomputes the same product by brute force from
 the defining sums and must agree exactly.  :func:`oracle_agrees` compares
-the two in the byte words that :func:`backend.convolve` returns: S_n's
-permutations are listed once per degree by descent class, as byte words
-only, and each side is read off the classes as the indicator ``X_eta`` or,
-when that holds more than half of S_n, its complement ``C``.  With
-``e`` the sum of S_n, ``1_X = e - 1_C`` and ``e*f = eps(f)*e``, so the
-product is ``alpha*e + s*(A*B)`` and the table product, shifted by
-``alpha`` and signed by ``s`` over its classes, must equal the
-convolution as a dict.  Only ``B(1^n)``, all of S_n, is complemented, so
-a side of ``B(1^n)`` costs no term pairs.  Elements of both algebras
-share one base, ``perms._IntegerCombination``, for their coefficient
-arithmetic; :func:`to_group_algebra` and :func:`oracle_multiply` build them
-from the same word list, as the reference the lean comparison must match.
+the two in the byte words that :func:`backend.convolve` returns, each
+side read off S_n's descent classes as its indicator or, for ``B(1^n)``,
+all of S_n, as its empty complement (:func:`oracle_mismatch`).  Both
+algebras' elements share one base, ``perms._IntegerCombination``;
+:func:`to_group_algebra` and :func:`oracle_multiply` build them from the
+same word list, as the reference the lean comparison must match.
 
 >>> kappa, nu = Composition((2, 1)), Composition((1, 2))
 >>> str(solomon_multiply(kappa, nu))
@@ -35,7 +29,7 @@ from functools import lru_cache
 from typing import Iterable, TextIO
 
 from . import backend
-from .backend import check_coefficient
+from .backend import check_coefficient, check_coefficients
 from .combinatorics import Composition, _composition_mask, all_compositions
 from .perms import (
     BASIS_DEGREE_MAX,
@@ -137,10 +131,10 @@ def element_multiply(a: DescentElement, b: DescentElement,
                      max_degree: int | None = None) -> DescentElement:
     """Bilinear extension of :func:`solomon_multiply`.
 
-    As in :func:`backend.convolve`, sums are exact and only the result's
-    coefficients are range-checked, so term order cannot matter.  The
-    degree is checked against ``max_degree`` (default
-    ``BASIS_DEGREE_MAX``) once per call.
+    As in :func:`backend.convolve`, sums are exact, terms that cancel are
+    dropped and the result is range-checked once, on its two extremes, so
+    term order cannot matter.  The degree is checked against
+    ``max_degree`` (default ``BASIS_DEGREE_MAX``) once per call.
     """
     n = a.n
     if n != b.n:
@@ -153,8 +147,9 @@ def element_multiply(a: DescentElement, b: DescentElement,
             scale = ca * cb
             for eta, c in _solomon(kappa, nu).terms.items():
                 terms[eta] = get(eta, 0) + scale * c
-    return _adopt(DescentElement, n, {eta: check_coefficient(c)
-                                      for eta, c in terms.items() if c})
+    if 0 in check_coefficients(terms.values()):
+        terms = {eta: c for eta, c in terms.items() if c}
+    return _adopt(DescentElement, n, terms)
 
 
 # One entry per degree: S_n's permutations as byte words of their images,
@@ -185,8 +180,8 @@ def _class_weights(a: DescentElement) -> list[int]:
     """
     masks = [(_composition_mask(comp), coeff)
              for comp, coeff in a.terms.items()]
-    return [check_coefficient(sum(coeff for m, coeff in masks if m & d == 0))
-            for d in range(1 << (a.n - 1))]
+    return check_coefficients([sum(coeff for m, coeff in masks if m & d == 0)
+                               for d in range(1 << (a.n - 1))])
 
 
 def to_group_algebra(a: DescentElement,

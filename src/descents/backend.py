@@ -22,10 +22,10 @@ Conventions:
 * a reading word is the tuple of a margin table's non-zero entries, read
   row by row: the parts of a composition of ``n``;
 * every input coefficient and every result must lie within signed 64-bit
-  range, and leaving it raises ``OverflowError`` rather than wrapping;
-  sums on the way are exact integers and are not checked.  The sweep's
-  counts are exact and unchecked too: a basis product checks its
-  coefficients once, in ``algebra._solomon``.
+  range, else ``OverflowError`` rather than wrapping.  Sums on the way are
+  exact; each finished result is checked once, on its least and greatest
+  value, read in C (:func:`check_coefficients`), and a basis product,
+  whose counts are positive, on its greatest, in ``algebra._solomon``.
 """
 
 from __future__ import annotations
@@ -51,14 +51,21 @@ def check_coefficient(value: int) -> int:
     return value
 
 
+def check_coefficients(values):
+    """Return the sized ``values``, or raise if their least or greatest
+    leaves signed 64-bit range: a finished result's one range check."""
+    if values:
+        check_coefficient(min(values))
+        check_coefficient(max(values))
+    return values
+
+
 def _by_coefficient(items):
     """``{coefficient: [images]}``, every coefficient range-checked."""
     groups = {}
     for images, c in items:
         groups.setdefault(c, []).append(images)
-    for c in groups:
-        check_coefficient(c)
-    return groups
+    return check_coefficients(groups)
 
 
 def convolve(n, a_items, b_items):
@@ -113,8 +120,7 @@ def convolve(n, a_items, b_items):
             for z, k in tally.items():
                 acc[z] = get(z, 0) + w * k
         out = {z: v for z, v in acc.items() if v}
-    check_coefficient(min(out.values(), default=0))
-    check_coefficient(max(out.values(), default=0))
+    check_coefficients(out.values())
     return out
 
 

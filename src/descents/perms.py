@@ -30,7 +30,7 @@ import itertools
 from typing import Iterable, Iterator, Mapping
 
 from . import backend
-from .backend import check_coefficient
+from .backend import check_coefficients
 
 #: Largest degree at which whole-group (order n!) computations run without
 #: an explicit override.
@@ -158,7 +158,8 @@ class _IntegerCombination:
     ``terms`` maps each key to a non-zero signed 64-bit coefficient; treat
     it as read-only.  Subclasses add ``key_type``, ``_multiply`` and text.
     The constructor validates, copies and drops zeros; producers whose
-    dict is clean by construction build with :func:`_adopt` instead.
+    dict is clean by construction build with :func:`_adopt` instead.  Sums
+    are exact, and every result is range-checked once, on its extremes.
     """
 
     __slots__ = ("n", "terms")
@@ -177,8 +178,9 @@ class _IntegerCombination:
             if type(coeff) is not int:
                 raise ValueError(
                     f"coefficients must be integers: {coeff!r}")
-            if check_coefficient(coeff):
+            if coeff:
                 clean[key] = coeff
+        check_coefficients(clean.values())
         return _adopt(cls, n, clean)
 
     def __setattr__(self, name, value):
@@ -194,9 +196,9 @@ class _IntegerCombination:
             raise degree_mismatch(self.n, other.n)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            terms[key] = check_coefficient(terms.get(key, 0) + sign * coeff)
-            if not terms[key]:
-                del terms[key]
+            terms[key] = terms.get(key, 0) + sign * coeff
+        if 0 in check_coefficients(terms.values()):
+            terms = {key: c for key, c in terms.items() if c}
         return _adopt(type(self), self.n, terms)
 
     def __add__(self, other):
@@ -206,22 +208,19 @@ class _IntegerCombination:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return _adopt(type(self), self.n,
-                      {k: -c for k, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
             return self._multiply(other)
         if isinstance(other, int):
-            terms = self.terms if other else {}
-            return _adopt(type(self), self.n, {k: check_coefficient(c * other)
-                                               for k, c in terms.items()})
+            terms = ({k: c * other for k, c in self.terms.items()}
+                     if other else {})
+            check_coefficients(terms.values())
+            return _adopt(type(self), self.n, terms)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, type(self))

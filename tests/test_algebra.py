@@ -715,6 +715,56 @@ def test_element_contract(cls, keys, other_keys):
             op(other, a)
 
 
+@pytest.mark.parametrize("edge, step, factor, past_factor",
+                         [(backend.INT64_MAX, 1, 7, 2),
+                          (backend.INT64_MIN, -1, 2, 3)])
+@pytest.mark.parametrize("cls,keys,other_keys", ELEMENT_TYPES,
+                         ids=["descent", "group"])
+def test_element_arithmetic_result_range_ends(cls, keys, other_keys, edge,
+                                              step, factor, past_factor):
+    # each result holds ``edge`` and is returned, while one step past it
+    # raises; ``factor`` divides ``edge`` and ``past_factor`` divides
+    # ``edge + step``, so integer scaling reaches both exactly
+    x, y = keys(2)
+    low = -edge - 1  # the other end of int64
+    ends = cls(2, {x: edge, y: low})
+    assert ends.terms == {x: edge, y: low}
+    near = cls(2, {x: edge - step, y: low})
+    assert near + cls(2, {x: step}) == ends
+    assert near - cls(2, {x: -step}) == ends
+    assert cls(2, {x: edge // factor}) * factor == cls(2, {x: edge})
+    assert factor * cls(2, {x: edge // factor}) == cls(2, {x: edge})
+    past = cls(2, {x: (edge + step) // past_factor})
+    for op in (lambda: cls(2, {x: edge + step, y: low}),
+               lambda: ends + cls(2, {x: step}),
+               lambda: ends - cls(2, {x: -step}),
+               lambda: near + near,
+               lambda: past * past_factor,
+               lambda: past_factor * past):
+        with pytest.raises(OverflowError, match="signed 64-bit range"):
+            op()
+    # a sum or a product whose terms cancel drops that key: B(1,1) squares
+    # to 2 B(1,1), while the transposition squares to the identity
+    assert (ends - cls(2, {x: edge})).terms == {y: low}
+    assert (ends - ends).terms == {}
+    u, v, w = (({x: -1, y: 1}, {x: 1, y: -1}, {x: -1})
+               if cls is DescentElement else
+               ({x: 2, y: 1}, {x: 1, y: -2}, {y: -3}))
+    assert (cls(2, u) * cls(2, v)).terms == w
+
+
+@pytest.mark.parametrize("cls,keys,other_keys", ELEMENT_TYPES,
+                         ids=["descent", "group"])
+def test_element_negation_range_ends(cls, keys, other_keys):
+    # INT64_MAX negates to INT64_MIN + 1, but INT64_MIN has no negative in
+    # int64, so negating it raises like any result that leaves the range
+    x, y = keys(2)
+    top = cls(2, {x: backend.INT64_MAX, y: -1})
+    assert (-top).terms == {x: backend.INT64_MIN + 1, y: 1}
+    with pytest.raises(OverflowError, match="signed 64-bit range"):
+        -cls(2, {x: backend.INT64_MIN})
+
+
 def _descent_elements(n):
     # checked builds with mixed signs; a zero coefficient is dropped
     comps = all_compositions(n)
@@ -879,6 +929,39 @@ def test_element_multiply_checks_degree_once(monkeypatch):
     b = DescentElement(4, {c: 2 for c in comps[3:7]})
     element_multiply(a, b)
     assert calls == [(4, None, 12)]
+
+
+def test_element_results_check_their_range_once(monkeypatch):
+    # a finished result is range-checked on its two ends, so the number of
+    # checks does not grow with the number of terms; the basis products
+    # are cached first, so only the element arithmetic's checks count
+    comps = all_compositions(4)
+    a = DescentElement(4, {c: 1 for c in comps[:3]})
+    b = DescentElement(4, {c: 2 for c in comps[3:7]})
+    one, other = basis_element(comps[0]), basis_element(comps[3])
+    group = _group_elements(4)[0]
+    lone = GroupAlgebraElement(4, {Permutation.identity(4): 3})
+    element_multiply(a, b)
+    element_multiply(one, other)
+    calls = []
+    real = backend.check_coefficient
+    counting = lambda value: calls.append(value) or real(value)
+    monkeypatch.setattr(backend, "check_coefficient", counting)
+    monkeypatch.setattr(algebra, "check_coefficient", counting)
+
+    def count(op, *args):
+        calls.clear()
+        op(*args)
+        return len(calls)
+
+    assert len(element_multiply(a, b)) > len(element_multiply(one, other))
+    assert (count(element_multiply, a, b)
+            == count(element_multiply, one, other) <= 2)
+    for small, large in ((one, a * b), (lone, group)):
+        for op in (lambda u: u + u, lambda u: u - 2 * u, lambda u: 3 * u,
+                   lambda u: u * -3, lambda u: -u,
+                   lambda u: type(u)(u.n, dict(u.terms))):
+            assert count(op, large) == count(op, small) <= 6
 
 
 def test_structure_csv_frozen_degree_two():
