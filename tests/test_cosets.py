@@ -266,12 +266,11 @@ def test_intersection_table_small_example():
     }
 
 
-def test_intersection_table_bijective_onto_margin_matrices():
-    # walked in lexicographic order, the double set hits each margin
-    # matrix once, in the descending row-major order contingency_tables
-    # lists them: the lemma check walks the two lists in step, and leaves
-    # them for a dict of the tables hit only when this order fails
-    pairs = 0
+@pytest.fixture(scope="module")
+def double_set_images():
+    # for every subset pair with n <= 6: the tables the double set hits,
+    # walked in lexicographic order, and the margin matrices as listed
+    images = []
     for n in range(1, 7):
         subsets = all_generator_subsets(n)
         for j in subsets:
@@ -280,9 +279,25 @@ def test_intersection_table_bijective_onto_margin_matrices():
                 nu = subset_to_composition(k)
                 image = [intersection_table(x, j, k)
                          for x in enumerate_double_set(j, k)]
-                assert image == list(contingency_tables(nu, kappa)), (j, k)
-                pairs += 1
-    assert pairs == 1365
+                images.append(((j, k), image,
+                               list(contingency_tables(nu, kappa))))
+    assert len(images) == 1365
+    return images
+
+
+def test_intersection_table_bijective_onto_margin_matrices(double_set_images):
+    for pair, image, listed in double_set_images:
+        assert len(set(image)) == len(image), ("table repeated", pair)
+        assert set(image) == set(listed), pair
+
+
+def test_double_set_meets_the_tables_in_listing_order(double_set_images):
+    # walked in lexicographic order, the double set hits the margin
+    # matrices in the descending row-major order contingency_tables lists
+    # them: the lemma check walks the two lists in step, and leaves them
+    # for a dict of the tables hit only when this order fails
+    for pair, image, listed in double_set_images:
+        assert image == listed, pair
 
 
 def test_intersection_table_rejects_non_representative():
