@@ -2,9 +2,11 @@
 
 A subset J of the adjacent transpositions ``{s_1 .. s_{n-1}}`` is recorded by
 generator index, and drawn as a graph on vertices ``1..n`` with an edge
-``{i, i+1}`` for each ``i`` in J.  Listing the connected components by least
-element (the *ordered presentation*) and taking their sizes turns J into a
-composition of n; the correspondence is bijective.  A composition, an
+``{i, i+1}`` for each ``i`` in J.  Its components are runs of consecutive
+vertices; listing them by least element (the *ordered presentation*) and
+taking their sizes turns J into a composition of n, bijectively.  Only
+such graphs are built: the paper's x^{-1}(graph J) & graph K is the graph
+of the subset x^{-1} J x & K (``cosets._meet``).  A composition, an
 ordered presentation and a margin matrix are each the ``tuple`` of their
 parts, blocks or rows, equal to that plain tuple and hashed like it.  Their
 constructors validate; a producer whose items are valid by construction
@@ -25,7 +27,6 @@ from typing import Iterable, Iterator
 
 from .perms import (
     BASIS_DEGREE_MAX,
-    Permutation,
     check_degree,
     degree_mismatch,
 )
@@ -150,47 +151,31 @@ class GeneratorSubset:
 
 
 class SubsetGraph:
-    """A simple graph on vertices ``1..n``; edges need not be consecutive.
-
-    Graphs of generator subsets only have edges ``{i, i+1}``, but images
-    under a permutation produce arbitrary edges, which is why components
-    are found by union-find rather than by scanning runs.  The constructor
-    validates each edge, and ``edges`` is the sorted tuple of the distinct
-    pairs ``(u, v)`` with ``u < v``.
-    """
+    """The graph of a generator subset, on vertices ``1..n``: the
+    constructor takes only edges ``{i, i+1}``, either way round, and
+    ``edges`` is the sorted tuple of the distinct pairs ``(i, i+1)``."""
 
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_subset_degree(n)
-        norm = set()
+        lower = set()
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop edge at {u}")
             if not (type(u) is int and type(v) is int
                     and 1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) outside 1..{n}")
-            norm.add((u, v) if u < v else (v, u))
+            if abs(u - v) != 1:
+                raise ValueError(f"edge ({u},{v}) is not {{i,i+1}}")
+            lower.add(min(u, v))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "edges",
+                           tuple([(i, i + 1) for i in sorted(lower)]))
 
     def __setattr__(self, name, value):
         raise AttributeError("SubsetGraph is immutable")
 
     def __reduce__(self):
         return type(self), (self.n, self.edges)
-
-    def image_under(self, x: Permutation) -> "SubsetGraph":
-        """Relabel every vertex v as x(v)."""
-        if x.n != self.n:
-            raise degree_mismatch(x.n, self.n)
-        return SubsetGraph(self.n, ((x[u - 1], x[v - 1])
-                                    for u, v in self.edges))
-
-    def intersection(self, other: "SubsetGraph") -> "SubsetGraph":
-        if self.n != other.n:
-            raise degree_mismatch(self.n, other.n)
-        return SubsetGraph(self.n, set(self.edges).intersection(other.edges))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubsetGraph)
@@ -361,36 +346,17 @@ def graph_of_subset(j: GeneratorSubset) -> SubsetGraph:
 
 
 def ordered_presentation(g: SubsetGraph) -> OrderedPresentation:
-    """Connected components of ``g`` sorted by least element (union-find).
-
-    A union links the larger root below the smaller one, and path halving
-    only moves a pointer further down, so no vertex points above itself
-    and each root is the least element of its component.  Then one pass
-    ``parent[v] = parent[parent[v]]`` in increasing v points every vertex
-    at its root, since v's parent was settled first, and opens the groups
-    in root order: a sorted partition of ``1..n`` with no sort.
-    """
-    n = g.n
-    parent = list(range(n + 1))
-    for u, v in g.edges:
-        # find both roots, halving the paths: each step points the vertex
-        # at its grandparent, then moves there
-        while u != parent[u]:
-            parent[u] = u = parent[parent[u]]
-        while v != parent[v]:
-            parent[v] = v = parent[parent[v]]
-        if u < v:
-            parent[v] = u
-        elif v < u:
-            parent[u] = v
-    groups: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        root = parent[v] = parent[parent[v]]
-        if root == v:
-            groups[v] = [v]
+    """Connected components of ``g`` sorted by least element: its runs,
+    read in one scan of ``1..n``, where v joins the run of v-1 when
+    ``(v-1, v)`` is an edge."""
+    linked = {u for u, _ in g.edges}
+    blocks = [[1]]
+    for v in range(2, g.n + 1):
+        if v - 1 in linked:
+            blocks[-1].append(v)
         else:
-            groups[root].append(v)
-    return tuple.__new__(OrderedPresentation, map(tuple, groups.values()))
+            blocks.append([v])
+    return tuple.__new__(OrderedPresentation, map(tuple, blocks))
 
 
 def to_dot(g: SubsetGraph) -> str:

@@ -106,10 +106,11 @@ def _subset_data(n: int, mask: int) -> tuple[tuple[tuple[int, ...], ...],
     and ``where``, whose ``where[v]`` is the index of the block holding v.
 
     Keyed on the two ints, so a hit hashes in C, and a miss reads the
-    graph's edges off the mask: no call builds a subset.  1024 entries hold
-    every subset of one degree through n=11, a witness's meet
-    (:func:`_meet`) among them.  ``ordered_presentation`` is read from this
-    module, so a wrapper placed there sees each miss."""
+    graph's edges off the mask and its blocks off their runs: no call
+    builds a subset.  1024 entries hold every subset of one degree through
+    n=11, a witness's meet (:func:`_meet`) among them.
+    ``ordered_presentation`` is read from this module, so a wrapper placed
+    there sees each miss."""
     blocks = ordered_presentation(SubsetGraph(
         n, [(i, i + 1) for i in range(1, n) if mask >> (i - 1) & 1]))
     where = [-1] * (n + 1)

@@ -2,8 +2,11 @@
 
 Everything here is written from the definitions, on plain tuples, sharing
 no code with the package: filtering the whole group instead of generating,
-breadth-first search instead of counting inversions, rows enumerated over
-full entry ranges instead of the package's cached row fillings.
+breadth-first search instead of counting inversions or reading a subset
+graph's runs, rows enumerated over full entry ranges instead of the
+package's cached row fillings, and the paper's intersection graph
+x^{-1}(graph J) & graph K built by relabelling and intersecting edge sets
+instead of read as the graph of the subset x^{-1} J x & K.
 """
 
 import itertools
@@ -95,3 +98,46 @@ def young_subgroup(n, members):
                 images[slot - 1] = value
         out.append(tuple(images))
     return out
+
+
+def breadth_first_components(n, edges):
+    """Components of the graph, each a sorted tuple, by least element."""
+    adjacent = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    seen, components = set(), []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = [start], deque([start])
+        while queue:
+            for w in adjacent[queue.popleft()] - seen:
+                seen.add(w)
+                component.append(w)
+                queue.append(w)
+        components.append(tuple(sorted(component)))
+    return tuple(components)
+
+
+def subset_edges(members):
+    """The edges ``(i, i+1)`` of the graph of a generator subset."""
+    return [(i, i + 1) for i in members]
+
+
+def intersection_graph_edges(x, j_members, k_members):
+    """The sorted edges ``(u, v)``, u < v, of x^{-1}(graph J) & graph K
+    for x the tuple of images of 1..n: each edge {a, b} of graph J
+    relabelled as {x^{-1}(a), x^{-1}(b)}, kept when graph K has it."""
+    position = {v: p for p, v in enumerate(x, 1)}
+    pulled = {tuple(sorted((position[a], position[b])))
+              for a, b in subset_edges(j_members)}
+    return sorted(pulled.intersection(subset_edges(k_members)))
+
+
+def intersection_graph_components(x, j_members, k_members):
+    """The ordered presentation of x^{-1}(graph J) & graph K, by
+    breadth-first search."""
+    return breadth_first_components(
+        len(x), intersection_graph_edges(x, j_members, k_members))

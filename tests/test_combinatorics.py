@@ -36,7 +36,7 @@ from descents import (
     to_group_algebra,
 )
 
-from _oracles import brute_tables
+from _oracles import brute_tables, intersection_graph_edges
 
 
 def test_composition_validation():
@@ -140,7 +140,7 @@ def test_value_tuple_types_derive_their_sizes_and_keep_messages():
     OrderedPresentation([[1, 3], [2]]),
     MarginMatrix([[1, 0], [1, 1]]),
     GeneratorSubset(4, [1, 3]),
-    SubsetGraph(4, [(1, 3), (2, 4)]),
+    SubsetGraph(4, [(1, 2), (3, 4)]),
     DescentElement(3, {Composition((2, 1)): 2, Composition((3,)): -1}),
     GroupAlgebraElement(3, {Permutation((2, 1, 3)): 5}),
 ], ids=lambda v: type(v).__name__)
@@ -153,7 +153,7 @@ def test_value_types_copy_and_pickle(value):
 
 @pytest.mark.parametrize("value", [
     GeneratorSubset(4, [1, 3]),
-    SubsetGraph(4, [(1, 3), (2, 4)]),
+    SubsetGraph(4, [(1, 2), (3, 4)]),
 ], ids=lambda v: type(v).__name__)
 def test_subset_values_are_immutable(value):
     for name in ("n", "members", "mask", "edges", "other"):
@@ -195,8 +195,10 @@ TRUSTED_BUILDS = {
     "MarginMatrix.reading_word": (Composition, lambda n: [
         z.reading_word() for z in _tables(n)]),
     "ordered_presentation": (OrderedPresentation, lambda n: [
-        ordered_presentation(graph_of_subset(j).image_under(x))
-        for j in all_generator_subsets(n) for x in enumerate_group(n)]),
+        ordered_presentation(SubsetGraph(n, intersection_graph_edges(
+            x, j.members, k.members)))
+        for j, k in _pairs(all_generator_subsets(n))
+        for x in enumerate_double_set(j, k)]),
     "contingency_tables": (MarginMatrix, _tables),
     "enumerate_left_reps": (Permutation, lambda n: [
         x for k in all_generator_subsets(n) for x in enumerate_left_reps(k)]),
@@ -343,14 +345,6 @@ def test_graph_of_subset_edges():
     assert graph_of_subset(GeneratorSubset(3)).edges == ()
 
 
-def test_graph_image_and_intersection():
-    x = Permutation((3, 1, 4, 2))
-    g = SubsetGraph(4, [(1, 2), (3, 4)])
-    assert g.image_under(x).edges == ((1, 3), (2, 4))
-    h = SubsetGraph(4, [(1, 3), (1, 2)])
-    assert g.image_under(x).intersection(h).edges == ((1, 3),)
-
-
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         SubsetGraph(3, [(1, 4)])
@@ -364,16 +358,35 @@ def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError, match=r"^degree must be an integer: 3\.0$"):
         SubsetGraph(3.0, [(1, 2)])
     # orientation of the pair does not matter
-    assert SubsetGraph(3, [(3, 1)]) == SubsetGraph(3, [(1, 3)])
-    assert hash(SubsetGraph(3, [(3, 1)])) == hash(SubsetGraph(3, [(1, 3)]))
+    assert SubsetGraph(3, [(2, 1)]) == SubsetGraph(3, [(1, 2)])
+    assert hash(SubsetGraph(3, [(2, 1)])) == hash(SubsetGraph(3, [(1, 2)]))
 
 
-def test_ordered_presentation_via_union_find():
-    g = SubsetGraph(6, [(1, 4), (4, 2), (3, 5)])
+@pytest.mark.parametrize("edge, message", [
+    ((1, 3), r"^edge \(1,3\) is not \{i,i\+1\}$"),
+    ((4, 2), r"^edge \(4,2\) is not \{i,i\+1\}$"),
+    ((2, 4), r"^edge \(2,4\) is not \{i,i\+1\}$"),
+    ((2, 2), r"^edge \(2,2\) is not \{i,i\+1\}$"),
+    ((4, 5), r"^edge \(4,5\) outside 1\.\.4$"),
+    ((0, 1), r"^edge \(0,1\) outside 1\.\.4$"),
+    ((True, 2), r"^edge \(True,2\) outside 1\.\.4$"),
+    ((2, 3.0), r"^edge \(2,3\.0\) outside 1\.\.4$"),
+], ids=["1-3", "4-2", "2-4", "loop", "above-n", "zero", "bool", "float"])
+def test_graph_takes_only_edges_i_i_plus_1(edge, message):
+    # a subset graph joins consecutive vertices only, so its components
+    # are runs; the first bad edge is named, after any good ones
+    with pytest.raises(ValueError, match=message):
+        SubsetGraph(4, [(1, 2), edge])
+
+
+def test_ordered_presentation_reads_runs():
+    g = SubsetGraph(6, [(1, 2), (3, 2), (4, 5)])
     pres = ordered_presentation(g)
-    assert [list(b) for b in pres] == [[1, 2, 4], [3, 5], [6]]
+    assert [list(b) for b in pres] == [[1, 2, 3], [4, 5], [6]]
     assert tuple(map(len, pres)) == (3, 2, 1)
-    assert pres.to_text() == "({1,2,4},{3,5},{6})"
+    assert pres.to_text() == "({1,2,3},{4,5},{6})"
+    assert ordered_presentation(SubsetGraph(1)) == ((1,),)
+    assert ordered_presentation(SubsetGraph(3)) == ((1,), (2,), (3,))
 
 
 def test_ordered_presentation_validation():
@@ -501,24 +514,6 @@ def test_contingency_tables_degree_bound():
     got = list(contingency_tables(Composition((13,)), Composition((13,)),
                                   max_degree=13))
     assert got == [((13,),)]
-
-
-def test_unchecked_graphs_match_validated_rebuild():
-    # each graph that image_under and intersection build must equal a
-    # validating rebuild from its edges
-    for n in range(1, 6):
-        group = [Permutation(p) for p in
-                 itertools.permutations(range(1, n + 1))]
-        for j in all_generator_subsets(n):
-            g = graph_of_subset(j)
-            for x in group:
-                image = g.image_under(x)
-                assert image == SubsetGraph(n, image.edges)
-                for k in all_generator_subsets(n):
-                    both = image.intersection(graph_of_subset(k))
-                    assert both == SubsetGraph(n, both.edges)
-                    assert set(both.edges) == (
-                        set(image.edges) & set(graph_of_subset(k).edges))
 
 
 def test_contingency_tables_mismatched_sums():

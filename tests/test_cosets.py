@@ -31,7 +31,14 @@ from descents import (
     verify_subset_pair,
 )
 
-from _oracles import filter_left_reps, young_subgroup
+from _oracles import (
+    breadth_first_components,
+    filter_left_reps,
+    intersection_graph_components,
+    intersection_graph_edges,
+    subset_edges,
+    young_subgroup,
+)
 
 
 def test_is_left_rep_matches_filter():
@@ -159,10 +166,7 @@ def test_degree_mismatch_names_every_degree():
     for call, text in (
             (lambda: is_left_rep(x, k), "3 vs 4"),
             (lambda: intersection_table(x, j, k), "3 vs 3 vs 4"),
-            (lambda: verify_subset_pair(j, k), "3 vs 4"),
-            (lambda: graph_of_subset(k).image_under(x), "3 vs 4"),
-            (lambda: graph_of_subset(j).intersection(graph_of_subset(k)),
-             "3 vs 4")):
+            (lambda: verify_subset_pair(j, k), "3 vs 4")):
         with pytest.raises(ValueError, match=f"^degree mismatch: {text}$"):
             call()
 
@@ -182,11 +186,12 @@ def test_intersection_table_margins():
 
 def reference_intersections(x, j, k):
     """``x^{-1}(J_q) & K_m`` as sorted tuples, one row per K block, from
-    the inverse and the union-find blocks by set intersection."""
-    xi = x.inverse()
-    j_blocks = ordered_presentation(graph_of_subset(j))
-    k_blocks = ordered_presentation(graph_of_subset(k))
-    pulled = [{xi[u - 1] for u in block} for block in j_blocks]
+    the positions of x's values and the breadth-first blocks of the two
+    subset graphs by set intersection."""
+    n = len(x)
+    j_blocks = breadth_first_components(n, subset_edges(j.members))
+    k_blocks = breadth_first_components(n, subset_edges(k.members))
+    pulled = [{x.index(u) + 1 for u in block} for block in j_blocks]
     return [[tuple(sorted(pb & set(km))) for pb in pulled]
             for km in k_blocks]
 
@@ -217,15 +222,19 @@ def test_verify_pair_bound_reaches_the_enumerations():
 
 
 def test_intersection_graph_presentations_pass_validation():
-    # union-find builds its presentation unchecked; each must survive a
-    # validating rebuild
+    # the lemma check reads the presentation of each witness's
+    # intersection graph from the subset cache, under the meet's mask; it
+    # is built unchecked, must be the graph's components and must survive
+    # a validating rebuild
+    subset_data = descents.cosets._subset_data
+    meet = descents.cosets._meet
     for n in range(1, 6):
         for j in all_generator_subsets(n):
             for k in all_generator_subsets(n):
                 for x in enumerate_double_set(j, k):
-                    p = ordered_presentation(
-                        graph_of_subset(j).image_under(x.inverse())
-                        .intersection(graph_of_subset(k)))
+                    p = subset_data(n, meet(x, j, k))[0]
+                    assert p == intersection_graph_components(
+                        x, j.members, k.members)
                     rebuilt = OrderedPresentation(p)
                     assert rebuilt == p
                     assert rebuilt.n == p.n == n
@@ -239,17 +248,15 @@ def test_meet_graph_is_the_intersection_graph():
     meet = descents.cosets._meet
     for n in range(1, 6):
         subsets = all_generator_subsets(n)
-        graphs = {j: graph_of_subset(j) for j in subsets}
         for p in itertools.permutations(range(1, n + 1)):
             x = Permutation(p)
-            pulled = {j: graphs[j].image_under(x.inverse()) for j in subsets}
             for j in subsets:
                 for k in subsets:
                     bits = meet(x, j, k)
                     subset = GeneratorSubset(
                         n, [i for i in range(1, n) if bits >> (i - 1) & 1])
-                    assert (graph_of_subset(subset)
-                            == pulled[j].intersection(graphs[k]))
+                    assert graph_of_subset(subset).edges == tuple(
+                        intersection_graph_edges(p, j.members, k.members))
 
 
 def test_intersection_table_small_example():
@@ -341,10 +348,8 @@ def test_predicted_presentation_matches_graph_components():
             k = rng.choice(subsets)
             for x in enumerate_double_set(j, k):
                 predicted = predicted_presentation(x, j, k)
-                computed = ordered_presentation(
-                    graph_of_subset(j).image_under(x.inverse())
-                    .intersection(graph_of_subset(k)))
-                assert predicted == computed
+                assert predicted == intersection_graph_components(
+                    x, j.members, k.members)
 
 
 def test_presentation_subgroup_matches_young_oracle():

@@ -1,4 +1,5 @@
-"""Golden digests: the lemma's reports pinned byte for byte.
+"""Golden digests: the lemma's reports and the ``graph`` command's output
+pinned byte for byte.
 
 Each digest is the sha256 of one line per report, over every ordered pair
 of generator subsets with n <= 5, each pair verified with the parabolic
@@ -11,15 +12,22 @@ that the checks passed on the commit that recorded it, so changing a
 constant changes a check and needs a stated reason.
 
 Recorded on commit a216c2c with this module's ``lemma_digests``.
+
+The graph digest is the sha256 of the stdout of ``graph n --subset <j>``
+and then of the same command with ``--dot``, for every subset j with
+n <= 6 in ``all_generator_subsets`` order, run in-process through
+``cli.main``.  Recorded on commit ce84ca3 with ``graph_digest``.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 
 import pytest
 
-from descents import all_generator_subsets, cosets, verify_subset_pair
+from descents import all_generator_subsets, cli, cosets, verify_subset_pair
 
 # fault: (failing reports, "no witness hits" lines, record sha256,
 # text sha256)
@@ -70,3 +78,27 @@ def test_lemma_reports_match_their_digests(monkeypatch, fault):
                             lambda *args, **kwargs: itertools.islice(
                                 stream(*args, **kwargs), 1))
     assert lemma_digests() == (682, *LEMMA_DIGESTS[fault])
+
+
+GRAPH_DIGEST = (
+    "e9e4f3eff325bbe00d9572011b7f794ebc2a6d49f35a36bf549f023f07dd4756")
+
+
+def graph_digest():
+    """sha256 of the ``graph`` command's stdout, plain then ``--dot``, for
+    every subset with n <= 6."""
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for j in all_generator_subsets(n):
+            for extra in ([], ["--dot"]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    status = cli.main(
+                        ["graph", str(n), "--subset", j.to_text(), *extra])
+                assert status == 0
+                digest.update(out.getvalue().encode())
+    return digest.hexdigest()
+
+
+def test_graph_output_matches_its_digest():
+    assert graph_digest() == GRAPH_DIGEST

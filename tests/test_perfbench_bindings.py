@@ -92,7 +92,7 @@ def test_tracer_sees_one_sweep_per_checked_product():
 
 def test_tracer_sees_one_presentation_per_subset():
     # each witness's intersection graph is the graph of a generator subset,
-    # read from the subset cache: a cold n=4 pass runs union-find once for
+    # read from the subset cache: a cold n=4 pass reads the runs once for
     # each of the 8 subsets and never per witness (281 of them)
     tracer_module = load_tracer()
     subsets = all_generator_subsets(4)

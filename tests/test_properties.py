@@ -1,13 +1,13 @@
 """Property tests: the reading-word sweep against the table walk, element
 products against their basis products, the algebra laws on random
 elements, the coset lemma with its table bijection on random subset
-pairs, and the union-find components against a breadth-first search.
+pairs, and the runs of subset graphs against a breadth-first search.
 
 The examples come from a fixed seed (``derandomize=True``), so every run
 checks the same cases.
 """
 
-from collections import Counter, deque
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,15 +17,17 @@ from descents import (
     DescentElement,
     GeneratorSubset,
     OrderedPresentation,
-    SubsetGraph,
     backend,
     contingency_tables,
     element_multiply,
+    graph_of_subset,
     ordered_presentation,
     solomon_multiply,
     subset_to_composition,
     verify_subset_pair,
 )
+
+from _oracles import breadth_first_components, subset_edges
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -52,43 +54,23 @@ def composition_pairs(draw, max_n):
     return n, parts(draw(cut_lists(n))), parts(draw(cut_lists(n)))
 
 
+def member_sets(n):
+    return st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
+
+
+@st.composite
+def subsets(draw, max_n):
+    """A generator subset of any degree up to ``max_n``."""
+    n = draw(st.integers(1, max_n))
+    return GeneratorSubset(n, draw(member_sets(n)))
+
+
 @st.composite
 def subset_pairs(draw, max_n):
     """Two generator subsets of one degree."""
     n = draw(st.integers(1, max_n))
-    members = st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
+    members = member_sets(n)
     return GeneratorSubset(n, draw(members)), GeneratorSubset(n, draw(members))
-
-
-@st.composite
-def graphs(draw, max_n):
-    """A degree and a list of edges between any two distinct vertices, in
-    any order and orientation."""
-    n = draw(st.integers(1, max_n))
-    vertex = st.integers(1, n)
-    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
-    return n, draw(st.lists(edge, max_size=2 * n)) if n > 1 else []
-
-
-def breadth_first_components(n, edges):
-    """Components of the graph, each a sorted tuple, by least element."""
-    adjacent = {v: set() for v in range(1, n + 1)}
-    for u, v in edges:
-        adjacent[u].add(v)
-        adjacent[v].add(u)
-    seen, components = set(), []
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        seen.add(start)
-        component, queue = [start], deque([start])
-        while queue:
-            for w in adjacent[queue.popleft()] - seen:
-                seen.add(w)
-                component.append(w)
-                queue.append(w)
-        components.append(tuple(sorted(component)))
-    return tuple(components)
 
 
 @st.composite
@@ -150,12 +132,12 @@ def test_lemma_and_bijection_hold_on_subset_pairs(pair):
 
 
 @PROPERTY
-@given(graphs(9))
-def test_union_find_roots_give_the_components(graph):
-    # the one-pass roots of the union-find against a breadth-first search;
-    # the unchecked presentation must survive a checked rebuild
-    n, edges = graph
-    presentation = ordered_presentation(SubsetGraph(n, edges))
-    assert presentation == breadth_first_components(n, edges)
+@given(subsets(12))
+def test_subset_graph_runs_give_the_components(j):
+    # the runs read in one scan against a breadth-first search; the
+    # unchecked presentation must survive a checked rebuild
+    presentation = ordered_presentation(graph_of_subset(j))
+    assert presentation == breadth_first_components(j.n,
+                                                    subset_edges(j.members))
     assert type(presentation) is OrderedPresentation
     assert OrderedPresentation(presentation) == presentation
