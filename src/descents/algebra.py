@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Iterable, TextIO
 
 from . import backend
-from .backend import check_coefficient, check_coefficients
+from .backend import check_coefficients
 from .combinatorics import Composition, _composition_mask, all_compositions
 from .perms import (
     BASIS_DEGREE_MAX,
@@ -38,6 +38,7 @@ from .perms import (
     Permutation,
     _adopt,
     _IntegerCombination,
+    _require_degree,
     algebra_multiply,
     check_degree,
     degree_mismatch,
@@ -108,9 +109,8 @@ def _term_key(word: tuple[int, ...]) -> Composition:
 def _solomon(kappa: Composition, nu: Composition) -> DescentElement:
     n = kappa.n
     counts = backend.reading_word_counts(nu, kappa, n)
-    # the counts are exact and positive: range-check the largest
-    check_coefficient(max(counts.values(), default=0))
-    terms = dict(zip(map(_term_key, counts), counts.values()))
+    terms = dict(zip(map(_term_key, counts),
+                     check_coefficients(counts.values())))
     return _adopt(DescentElement, n, terms)
 
 
@@ -190,6 +190,8 @@ def to_group_algebra(a: DescentElement,
     its coset representatives, so each descent class's weight
     (:func:`_class_weights`) goes to the permutation of every word listed
     in that class."""
+    if not isinstance(a, DescentElement):
+        raise ValueError(f"expected a DescentElement: {type(a).__name__}")
     check_degree(a.n, max_degree, ORACLE_DEGREE_DEFAULT)
     terms = {tuple.__new__(Permutation, z): w
              for words, w in zip(_descent_classes(a.n), _class_weights(a))
@@ -318,8 +320,7 @@ def structure_constants(
         n: int, max_degree: int | None = None
 ) -> list[tuple[Composition, Composition, DescentElement]]:
     """Every ordered basis product, pairs in subset order."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    _require_degree(n)
     check_degree(n, max_degree, BASIS_DEGREE_MAX)
     comps = all_compositions(n)
     return [(kappa, nu, solomon_multiply(kappa, nu, max_degree=max_degree))

@@ -23,9 +23,9 @@ Conventions:
   row by row: the parts of a composition of ``n``;
 * every input coefficient and every result must lie within signed 64-bit
   range, else ``OverflowError`` rather than wrapping.  Sums on the way are
-  exact; each finished result is checked once, on its least and greatest
-  value, read in C (:func:`check_coefficients`), and a basis product,
-  whose counts are positive, on its greatest, in ``algebra._solomon``.
+  exact; each finished result, a basis product's counts too, is checked
+  once, on its least and greatest value, read in C
+  (:func:`check_coefficients`).
 """
 
 from __future__ import annotations
@@ -44,19 +44,11 @@ def backend_name() -> str:
     return "pure"
 
 
-def check_coefficient(value: int) -> int:
-    """Return ``value``, or raise if it leaves signed 64-bit range."""
-    if value < INT64_MIN or value > INT64_MAX:
-        raise OverflowError("coefficient exceeds signed 64-bit range")
-    return value
-
-
 def check_coefficients(values):
     """Return the sized ``values``, or raise if their least or greatest
     leaves signed 64-bit range: a finished result's one range check."""
-    if values:
-        check_coefficient(min(values))
-        check_coefficient(max(values))
+    if values and (min(values) < INT64_MIN or max(values) > INT64_MAX):
+        raise OverflowError("coefficient exceeds signed 64-bit range")
     return values
 
 

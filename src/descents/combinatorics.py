@@ -27,6 +27,7 @@ from typing import Iterable, Iterator
 
 from .perms import (
     BASIS_DEGREE_MAX,
+    _require_degree,
     check_degree,
     degree_mismatch,
 )
@@ -80,14 +81,6 @@ class Composition(tuple):
         return f"Composition({self.to_text()!r})"
 
 
-def _check_subset_degree(n: int) -> None:
-    """Raise unless the degree ``n`` is an ``int`` of at least 1."""
-    if type(n) is not int:
-        raise ValueError(f"degree must be an integer: {n!r}")
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-
-
 class GeneratorSubset:
     """A subset of the generator indices ``1..n-1`` for a fixed degree n.
 
@@ -103,7 +96,7 @@ class GeneratorSubset:
     __slots__ = ("n", "members", "mask")
 
     def __init__(self, n: int, members: Iterable[int] = ()):
-        _check_subset_degree(n)
+        _require_degree(n)
         mask = 0
         for m in members:
             if type(m) is not int or not 1 <= m <= n - 1:
@@ -158,7 +151,7 @@ class SubsetGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        _check_subset_degree(n)
+        _require_degree(n)
         lower = set()
         for u, v in edges:
             if not (type(u) is int and type(v) is int
@@ -291,18 +284,10 @@ class MarginMatrix(tuple):
 # subset <-> composition
 
 def subset_to_composition(j: GeneratorSubset) -> Composition:
-    """Sizes of the components of the graph of J, in order."""
-    parts = []
-    size = 1
-    mask = j.mask
-    for i in range(1, j.n):
-        if mask >> (i - 1) & 1:
-            size += 1
-        else:
-            parts.append(size)
-            size = 1
-    parts.append(size)
-    return tuple.__new__(Composition, parts)
+    """The composition of J, as the paper defines it: the sizes of the
+    blocks of the ordered presentation of J's graph."""
+    return tuple.__new__(Composition, map(
+        len, ordered_presentation(graph_of_subset(j))))
 
 
 def _composition_mask(kappa: Composition) -> int:

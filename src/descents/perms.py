@@ -50,6 +50,14 @@ def check_degree(n: int, max_degree: int | None, default: int,
             f"degree {n} above bound {limit}; pass {option} to override")
 
 
+def _require_degree(n: int) -> None:
+    """Raise unless the degree ``n`` is an ``int`` of at least 1."""
+    if type(n) is not int:
+        raise ValueError(f"degree must be an integer: {n!r}")
+    if n <= 0:
+        raise ValueError("degree must be at least 1")
+
+
 def degree_mismatch(*degrees: int) -> ValueError:
     """The error for operands of different degrees, naming every degree."""
     return ValueError("degree mismatch: " + " vs ".join(map(str, degrees)))
@@ -69,8 +77,7 @@ class Permutation(tuple):
     def __new__(cls, images: Iterable[int]):
         self = tuple.__new__(cls, images)
         n = len(self)
-        if n < 1:
-            raise ValueError("degree must be at least 1")
+        _require_degree(n)
         if (any(type(v) is not int for v in self)
                 or sorted(self) != list(range(1, n + 1))):
             raise ValueError(f"not a permutation of 1..{n}: {tuple(self)!r}")
@@ -82,8 +89,7 @@ class Permutation(tuple):
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        if n < 1:
-            raise ValueError("degree must be at least 1")
+        _require_degree(n)
         return tuple.__new__(cls, range(1, n + 1))
 
     @classmethod
@@ -145,8 +151,7 @@ def enumerate_group(n: int, max_degree: int | None = None) -> Iterator[Permutati
     Refuses degrees above :data:`ORACLE_DEGREE_DEFAULT` unless ``max_degree``
     raises the bound explicitly; the order of the group grows as n!.
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    _require_degree(n)
     check_degree(n, max_degree, ORACLE_DEGREE_DEFAULT)
     return (tuple.__new__(Permutation, images)
             for images in itertools.permutations(range(1, n + 1)))
@@ -166,6 +171,7 @@ class _IntegerCombination:
     key_type: type
 
     def __new__(cls, n: int, terms: Mapping | None = None):
+        _require_degree(n)
         clean = {}
         for key, coeff in (terms or {}).items():
             if not isinstance(key, cls.key_type):

@@ -12,7 +12,6 @@ import sys
 import time
 
 from descents import (
-    Composition,
     all_compositions,
     all_generator_subsets,
     basis_element,

@@ -4,6 +4,7 @@ import itertools
 import math
 import pkgutil
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -33,7 +34,7 @@ from descents import (
     to_group_algebra,
     write_structure_csv,
 )
-from descents import algebra, backend, cli
+from descents import algebra, backend, cli, perms
 from descents.algebra import STRUCTURE_SCHEMA_VERSION
 
 from _oracles import filter_left_reps, naive_convolve
@@ -932,9 +933,10 @@ def test_element_multiply_checks_degree_once(monkeypatch):
 
 
 def test_element_results_check_their_range_once(monkeypatch):
-    # a finished result is range-checked on its two ends, so the number of
-    # checks does not grow with the number of terms; the basis products
-    # are cached first, so only the element arithmetic's checks count
+    # a finished result is range-checked by one call, on its two ends, so
+    # the number of checks does not grow with the number of terms; the
+    # basis products are cached first, so only the element arithmetic's
+    # checks count until a cold basis product makes its own one call
     comps = all_compositions(4)
     a = DescentElement(4, {c: 1 for c in comps[:3]})
     b = DescentElement(4, {c: 2 for c in comps[3:7]})
@@ -944,10 +946,10 @@ def test_element_results_check_their_range_once(monkeypatch):
     element_multiply(a, b)
     element_multiply(one, other)
     calls = []
-    real = backend.check_coefficient
-    counting = lambda value: calls.append(value) or real(value)
-    monkeypatch.setattr(backend, "check_coefficient", counting)
-    monkeypatch.setattr(algebra, "check_coefficient", counting)
+    real = backend.check_coefficients
+    counting = lambda values: calls.append(values) or real(values)
+    for module in (backend, perms, algebra):
+        monkeypatch.setattr(module, "check_coefficients", counting)
 
     def count(op, *args):
         calls.clear()
@@ -956,12 +958,45 @@ def test_element_results_check_their_range_once(monkeypatch):
 
     assert len(element_multiply(a, b)) > len(element_multiply(one, other))
     assert (count(element_multiply, a, b)
-            == count(element_multiply, one, other) <= 2)
+            == count(element_multiply, one, other) == 1)
+    # each op with the number of results it finishes: u - 2 * u two
+    ops = ((lambda u: u + u, 1), (lambda u: u - 2 * u, 2),
+           (lambda u: 3 * u, 1), (lambda u: u * -3, 1), (lambda u: -u, 1),
+           (lambda u: type(u)(u.n, dict(u.terms)), 1))
     for small, large in ((one, a * b), (lone, group)):
-        for op in (lambda u: u + u, lambda u: u - 2 * u, lambda u: 3 * u,
-                   lambda u: u * -3, lambda u: -u,
-                   lambda u: type(u)(u.n, dict(u.terms))):
-            assert count(op, large) == count(op, small) <= 6
+        for op, results in ops:
+            assert count(op, large) == count(op, small) == results
+    algebra._solomon.cache_clear()
+    assert count(solomon_multiply, comps[5], comps[6]) == 1
+
+
+def test_every_degree_is_a_positive_int():
+    # both element types check their degree as subsets and permutations
+    # do, with the same messages, so DescentElement(0) never reaches
+    # to_group_algebra's shifts
+    cases = [(Permutation.identity, (3.0,), "an integer: 3.0"),
+             (descents.enumerate_group, (True,), "an integer: True"),
+             (structure_constants, (2.0,), "an integer: 2.0")]
+    keys = {DescentElement: (Composition((2, 1)), Composition((1,))),
+            GroupAlgebraElement: (Permutation((2, 1, 3)), Permutation((1,)))}
+    for cls, (three, unit) in keys.items():
+        cases += [(cls, (0, {}), "at least 1"), (cls, (-1, {}), "at least 1"),
+                  (cls, (3.0, {three: 1}), "an integer: 3.0"),
+                  (cls, (True, {unit: 1}), "an integer: True")]
+    for make, args, message in cases:
+        with pytest.raises(ValueError,
+                           match=f"^degree must be {re.escape(message)}$"):
+            make(*args)
+
+
+def test_to_group_algebra_takes_only_descent_elements():
+    # a permutation key is no composition: expanding one would read its
+    # images as parts
+    g = GroupAlgebraElement(3, {Permutation((2, 1, 3)): 1})
+    for wrong in (g, Composition((2, 1))):
+        with pytest.raises(ValueError, match="^expected a DescentElement: "
+                                             + type(wrong).__name__ + "$"):
+            to_group_algebra(wrong)
 
 
 def test_structure_csv_frozen_degree_two():

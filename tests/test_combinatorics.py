@@ -1,6 +1,5 @@
 import copy
 import itertools
-import math
 import pickle
 from unittest import mock
 
@@ -36,7 +35,12 @@ from descents import (
     to_group_algebra,
 )
 
-from _oracles import brute_tables, intersection_graph_edges
+from _oracles import (
+    breadth_first_components,
+    brute_tables,
+    intersection_graph_edges,
+    subset_edges,
+)
 
 
 def test_composition_validation():
@@ -423,10 +427,11 @@ def test_presentation_of_subset_graph_matches_runs():
     for n in range(1, 8):
         for j in all_generator_subsets(n):
             pres = ordered_presentation(graph_of_subset(j))
-            assert tuple(map(len, pres)) == subset_to_composition(j)
+            components = breadth_first_components(n, subset_edges(j.members))
+            assert pres == components
+            assert subset_to_composition(j) == tuple(map(len, components))
             flat = [v for b in pres for v in b]
             assert flat == list(range(1, n + 1))
-            # built unchecked by union-find: a validating rebuild agrees
             if n <= 5:
                 rebuilt = OrderedPresentation(pres)
                 assert rebuilt == pres

@@ -10,7 +10,7 @@ from descents import (
     algebra_multiply,
     enumerate_group,
 )
-from descents.backend import check_coefficient
+from descents.backend import check_coefficients
 
 from _oracles import bfs_lengths, naive_convolve
 
@@ -117,12 +117,15 @@ def test_enumerate_group_bound():
 
 
 def test_check_coefficient():
-    assert check_coefficient(2**63 - 1) == 2**63 - 1
-    assert check_coefficient(-(2**63)) == -(2**63)
-    with pytest.raises(OverflowError):
-        check_coefficient(2**63)
-    with pytest.raises(OverflowError):
-        check_coefficient(-(2**63) - 1)
+    # the one int64 guard: both ends pass, one past either end raises,
+    # and the values come back as they were given
+    low, high = -(2**63), 2**63 - 1
+    for values in ([high], [low], [low, high], [], [3, -5, 0, high, low]):
+        assert check_coefficients(values) is values
+    for values in ([high + 1], [low - 1], [0, high + 1, 1], [low - 1, 7]):
+        with pytest.raises(OverflowError,
+                           match="^coefficient exceeds signed 64-bit range$"):
+            check_coefficients(values)
 
 
 def test_algebra_element_basics():
