@@ -31,12 +31,10 @@ from .combinatorics import (
     GeneratorSubset,
     MarginMatrix,
     OrderedPresentation,
-    SubsetGraph,
     all_compositions,
     all_generator_subsets,
     composition_to_subset,
     contingency_tables,
-    graph_of_subset,
     ordered_presentation,
     subset_to_composition,
     to_dot,
@@ -76,7 +74,6 @@ __all__ = [
     "PARABOLIC_DEGREE_DEFAULT",
     "PairReport",
     "Permutation",
-    "SubsetGraph",
     "algebra_multiply",
     "all_compositions",
     "all_generator_subsets",
@@ -89,7 +86,6 @@ __all__ = [
     "enumerate_double_set",
     "enumerate_group",
     "enumerate_left_reps",
-    "graph_of_subset",
     "identity_element",
     "intersection_table",
     "is_left_rep",

@@ -134,8 +134,13 @@ def element_multiply(a: DescentElement, b: DescentElement,
     As in :func:`backend.convolve`, sums are exact, terms that cancel are
     dropped and the result is range-checked once, on its two extremes, so
     term order cannot matter.  The degree is checked against
-    ``max_degree`` (default ``BASIS_DEGREE_MAX``) once per call.
+    ``max_degree`` (default ``BASIS_DEGREE_MAX``) once per call.  Both
+    operands must be ``DescentElement``s: a group-algebra element's keys
+    are permutations, not compositions.
     """
+    for x in (a, b):
+        if not isinstance(x, DescentElement):
+            raise ValueError(f"expected DescentElements: {type(x).__name__}")
     n = a.n
     if n != b.n:
         raise degree_mismatch(n, b.n)

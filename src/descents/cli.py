@@ -28,7 +28,6 @@ from .combinatorics import (
     all_generator_subsets,
     composition_to_subset,
     contingency_tables,
-    graph_of_subset,
     ordered_presentation,
     subset_to_composition,
     to_dot,
@@ -202,12 +201,11 @@ def cmd_graph(args) -> int:
         subset = composition_to_subset(kappa)
     else:
         subset = GeneratorSubset.from_text(args.n, args.subset)
-    graph = graph_of_subset(subset)
     if args.dot:
-        sys.stdout.write(to_dot(graph))
+        sys.stdout.write(to_dot(subset))
         return 0
-    presentation = ordered_presentation(graph)
-    edges = " ".join(f"{{{u},{v}}}" for u, v in graph.edges)
+    presentation = ordered_presentation(subset)
+    edges = " ".join(f"{{{i},{i + 1}}}" for i in subset.members)
     print(f"n: {args.n}")
     print(f"subset: {{{subset.to_text()}}}")
     print(f"edges: {edges if edges else '(none)'}")

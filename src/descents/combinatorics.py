@@ -1,12 +1,13 @@
-"""Compositions, generator subsets, their graphs, and margin matrices.
+"""Compositions, generator subsets, ordered presentations and margin matrices.
 
 A subset J of the adjacent transpositions ``{s_1 .. s_{n-1}}`` is recorded by
-generator index, and drawn as a graph on vertices ``1..n`` with an edge
-``{i, i+1}`` for each ``i`` in J.  Its components are runs of consecutive
-vertices; listing them by least element (the *ordered presentation*) and
-taking their sizes turns J into a composition of n, bijectively.  Only
-such graphs are built: the paper's x^{-1}(graph J) & graph K is the graph
-of the subset x^{-1} J x & K (``cosets._meet``).  A composition, an
+generator index.  The paper draws it as a graph on vertices ``1..n`` with an
+edge ``{i, i+1}`` for each ``i`` in J; that graph holds nothing the subset
+does not, so the subset stands for it.  Its components are runs of
+consecutive vertices; listing them by least element (the *ordered
+presentation*) and taking their sizes turns J into a composition of n,
+bijectively.  The paper's x^{-1}(graph J) & graph K is the graph of the
+subset x^{-1} J x & K (``cosets._meet``).  A composition, an
 ordered presentation and a margin matrix are each the ``tuple`` of their
 parts, blocks or rows, equal to that plain tuple and hashed like it.  Their
 constructors validate; a producer whose items are valid by construction
@@ -15,7 +16,7 @@ builds with ``tuple.__new__(Cls, items)``, which skips the check.
 >>> j = GeneratorSubset(9, [2, 3, 7])
 >>> subset_to_composition(j).to_text()
 '1,3,1,1,2,1'
->>> ordered_presentation(graph_of_subset(j)).to_text()
+>>> ordered_presentation(j).to_text()
 '({1},{2,3,4},{5},{6},{7,8},{9})'
 """
 
@@ -129,9 +130,6 @@ class GeneratorSubset:
     def to_text(self) -> str:
         return ",".join(map(str, self.members))
 
-    def __contains__(self, m: int) -> bool:
-        return m in self.members
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GeneratorSubset)
                 and self.n == other.n and self.mask == other.mask)
@@ -141,45 +139,6 @@ class GeneratorSubset:
 
     def __repr__(self) -> str:
         return f"GeneratorSubset({self.n}, {{{self.to_text()}}})"
-
-
-class SubsetGraph:
-    """The graph of a generator subset, on vertices ``1..n``: the
-    constructor takes only edges ``{i, i+1}``, either way round, and
-    ``edges`` is the sorted tuple of the distinct pairs ``(i, i+1)``."""
-
-    __slots__ = ("n", "edges")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        _require_degree(n)
-        lower = set()
-        for u, v in edges:
-            if not (type(u) is int and type(v) is int
-                    and 1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) outside 1..{n}")
-            if abs(u - v) != 1:
-                raise ValueError(f"edge ({u},{v}) is not {{i,i+1}}")
-            lower.add(min(u, v))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges",
-                           tuple([(i, i + 1) for i in sorted(lower)]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubsetGraph is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.n, self.edges)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SubsetGraph)
-                and self.n == other.n and self.edges == other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        body = " ".join(f"{{{u},{v}}}" for u, v in self.edges)
-        return f"SubsetGraph({self.n}, {body or 'no edges'})"
 
 
 class OrderedPresentation(tuple):
@@ -286,8 +245,7 @@ class MarginMatrix(tuple):
 def subset_to_composition(j: GeneratorSubset) -> Composition:
     """The composition of J, as the paper defines it: the sizes of the
     blocks of the ordered presentation of J's graph."""
-    return tuple.__new__(Composition, map(
-        len, ordered_presentation(graph_of_subset(j))))
+    return tuple.__new__(Composition, map(len, ordered_presentation(j)))
 
 
 def _composition_mask(kappa: Composition) -> int:
@@ -326,35 +284,31 @@ def all_compositions(n: int) -> list[Composition]:
 # ---------------------------------------------------------------------------
 # graphs
 
-def graph_of_subset(j: GeneratorSubset) -> SubsetGraph:
-    return SubsetGraph(j.n, ((i, i + 1) for i in j.members))
-
-
-def ordered_presentation(g: SubsetGraph) -> OrderedPresentation:
-    """Connected components of ``g`` sorted by least element: its runs,
-    read in one scan of ``1..n``, where v joins the run of v-1 when
-    ``(v-1, v)`` is an edge."""
-    linked = {u for u, _ in g.edges}
+def ordered_presentation(j: GeneratorSubset) -> OrderedPresentation:
+    """Connected components of the graph of ``j`` sorted by least element:
+    its runs, read in one scan of ``1..n``, where v joins the run of v-1
+    when v-1 is in ``j`` (bit v-2 of ``j.mask``)."""
+    mask = j.mask
     blocks = [[1]]
-    for v in range(2, g.n + 1):
-        if v - 1 in linked:
+    for v in range(2, j.n + 1):
+        if mask >> (v - 2) & 1:
             blocks[-1].append(v)
         else:
             blocks.append([v])
     return tuple.__new__(OrderedPresentation, map(tuple, blocks))
 
 
-def to_dot(g: SubsetGraph) -> str:
-    """Graphviz DOT text, one cluster per component."""
+def to_dot(j: GeneratorSubset) -> str:
+    """Graphviz DOT text of the graph of ``j``, one cluster per component."""
     lines = ["graph G {"]
-    for idx, block in enumerate(ordered_presentation(g)):
+    for idx, block in enumerate(ordered_presentation(j)):
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append("    label=\"{" + ",".join(map(str, block)) + "}\";")
         for v in block:
             lines.append(f"    {v};")
         lines.append("  }")
-    for u, v in g.edges:
-        lines.append(f"  {u} -- {v};")
+    for i in j.members:
+        lines.append(f"  {i} -- {i + 1};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

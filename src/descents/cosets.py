@@ -15,8 +15,8 @@ each pair gets a grid that maps a position and its value to the key of
 the intersection holding it, so a representative is read as one list of
 cell keys, in C: counted, the keys give its table, and grouped, its
 predicted presentation.  A witness's intersection graph is the graph of
-``x^{-1} J x & K``, whose mask is read from x's adjacent values and looked
-up in the subset cache.  Walked in lexicographic order, the double set
+the subset ``x^{-1} J x & K``, so no graph is built: the subset's mask is
+read from x's adjacent values and looked up in the subset cache.  Walked in lexicographic order, the double set
 meets the pair's margin matrices in the order ``contingency_tables``
 lists them, largest first, so the bijection check compares each
 witness's table with the next one listed and hashes tables only when a
@@ -42,7 +42,6 @@ from .combinatorics import (
     GeneratorSubset,
     MarginMatrix,
     OrderedPresentation,
-    SubsetGraph,
     contingency_tables,
     ordered_presentation,
 )
@@ -105,14 +104,13 @@ def _subset_data(n: int, mask: int) -> tuple[tuple[tuple[int, ...], ...],
     ordered-presentation blocks of J's graph, their sizes (J's composition)
     and ``where``, whose ``where[v]`` is the index of the block holding v.
 
-    Keyed on the two ints, so a hit hashes in C, and a miss reads the
-    graph's edges off the mask and its blocks off their runs: no call
-    builds a subset.  1024 entries hold every subset of one degree through
-    n=11, a witness's meet (:func:`_meet`) among them.
-    ``ordered_presentation`` is read from this module, so a wrapper placed
-    there sees each miss."""
-    blocks = ordered_presentation(SubsetGraph(
-        n, [(i, i + 1) for i in range(1, n) if mask >> (i - 1) & 1]))
+    Keyed on the two ints, so a hit hashes in C and builds nothing; a miss
+    builds J from the mask's bits and reads its blocks off their runs.
+    1024 entries hold every subset of one degree through n=11, a witness's
+    meet (:func:`_meet`) among them.  ``ordered_presentation`` is read
+    from this module, so a wrapper placed there sees each miss."""
+    blocks = ordered_presentation(GeneratorSubset(
+        n, [i for i in range(1, n) if mask >> (i - 1) & 1]))
     where = [-1] * (n + 1)
     for q, block in enumerate(blocks):
         for v in block:

@@ -268,7 +268,13 @@ class GroupAlgebraElement(_IntegerCombination):
 
 def algebra_multiply(a: GroupAlgebraElement,
                      b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Bilinear product; the hot loop lives in the kernel backend."""
+    """Bilinear product; the hot loop lives in the kernel backend.  Both
+    operands must be ``GroupAlgebraElement``s: a descent-algebra element's
+    keys are compositions, not images."""
+    for x in (a, b):
+        if not isinstance(x, GroupAlgebraElement):
+            raise ValueError(
+                f"expected GroupAlgebraElements: {type(x).__name__}")
     if a.n != b.n:
         raise degree_mismatch(a.n, b.n)
     raw = backend.convolve(a.n, a.terms.items(), b.terms.items())

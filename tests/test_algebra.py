@@ -999,6 +999,26 @@ def test_to_group_algebra_takes_only_descent_elements():
             to_group_algebra(wrong)
 
 
+@pytest.mark.parametrize("position", [0, 1], ids=["left", "right"])
+@pytest.mark.parametrize("multiply, right, wrong", [
+    (perms.algebra_multiply,
+     GroupAlgebraElement(3, {Permutation((2, 1, 3)): 1}),
+     basis_element(Composition((2, 1)))),
+    (element_multiply,
+     basis_element(Composition((2, 1))),
+     GroupAlgebraElement(3, {Permutation((2, 1, 3)): 1})),
+], ids=["algebra_multiply", "element_multiply"])
+def test_products_take_only_their_own_algebra(multiply, right, wrong,
+                                              position):
+    # a composition key is no image and a permutation key no margin
+    # vector, so each product names the other algebra's element
+    operands = [right, right]
+    operands[position] = wrong
+    expected = type(right).__name__ + "s: " + type(wrong).__name__
+    with pytest.raises(ValueError, match=f"^expected {expected}$"):
+        multiply(*operands)
+
+
 def test_structure_csv_frozen_degree_two():
     buf = io.StringIO()
     write_structure_csv(structure_constants(2), buf)

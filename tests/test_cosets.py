@@ -22,7 +22,6 @@ from descents import (
     enumerate_double_set,
     enumerate_group,
     enumerate_left_reps,
-    graph_of_subset,
     intersection_table,
     is_left_rep,
     ordered_presentation,
@@ -255,7 +254,7 @@ def test_meet_graph_is_the_intersection_graph():
                     bits = meet(x, j, k)
                     subset = GeneratorSubset(
                         n, [i for i in range(1, n) if bits >> (i - 1) & 1])
-                    assert graph_of_subset(subset).edges == tuple(
+                    assert [(i, i + 1) for i in subset.members] == (
                         intersection_graph_edges(p, j.members, k.members))
 
 
@@ -355,7 +354,7 @@ def test_predicted_presentation_matches_graph_components():
 def test_presentation_subgroup_matches_young_oracle():
     for n in range(1, 6):
         for k in all_generator_subsets(n):
-            blocks = ordered_presentation(graph_of_subset(k))
+            blocks = ordered_presentation(k)
             got = {p
                    for p in descents.cosets._presentation_subgroup(blocks)}
             assert got == set(young_subgroup(n, k.members))
@@ -752,7 +751,7 @@ def test_verify_pair_presentation_shortcut_is_exact(monkeypatch):
     for n in range(1, 6):
         subsets = all_generator_subsets(n)
         blocks = state["blocks"] = {
-            j.mask: ordered_presentation(graph_of_subset(j)) for j in subsets}
+            j.mask: ordered_presentation(j) for j in subsets}
         group = [Permutation(p)
                  for p in itertools.permutations(range(1, n + 1))]
         for j in subsets:
@@ -836,8 +835,9 @@ def test_pair_report_value_semantics():
                       witnesses=4) == PairReport(3, (), (), (), 4)
 
 
-def test_subset_data_builds_no_generator_subset(monkeypatch):
-    # a cold fill reads each subset's graph and composition off its mask
+def test_subset_data_builds_one_subset_per_miss(monkeypatch):
+    # a cold fill builds one subset from each mask and reads its blocks
+    # and composition off it; a warm fill builds none
     built = []
     init = GeneratorSubset.__init__
 
@@ -849,9 +849,12 @@ def test_subset_data_builds_no_generator_subset(monkeypatch):
     descents.cosets._subset_data.cache_clear()
     monkeypatch.setattr(GeneratorSubset, "__init__", counting_init)
     data = [descents.cosets._subset_data(6, j.mask) for j in subsets]
+    assert len(built) == len(subsets) == 32
+    built.clear()
+    assert [descents.cosets._subset_data(6, j.mask) for j in subsets] == data
     assert built == []
     for j, (blocks, kappa, where) in zip(subsets, data):
-        assert blocks == ordered_presentation(graph_of_subset(j))
+        assert blocks == ordered_presentation(j)
         assert all(v in blocks[where[v]] for v in range(1, 7))
         assert type(kappa) is Composition
         assert kappa == subset_to_composition(j)

@@ -20,7 +20,6 @@ from descents import (
     backend,
     contingency_tables,
     element_multiply,
-    graph_of_subset,
     ordered_presentation,
     solomon_multiply,
     subset_to_composition,
@@ -136,7 +135,7 @@ def test_lemma_and_bijection_hold_on_subset_pairs(pair):
 def test_subset_graph_runs_give_the_components(j):
     # the runs read in one scan against a breadth-first search; the
     # unchecked presentation must survive a checked rebuild
-    presentation = ordered_presentation(graph_of_subset(j))
+    presentation = ordered_presentation(j)
     assert presentation == breadth_first_components(j.n,
                                                     subset_edges(j.members))
     assert type(presentation) is OrderedPresentation
