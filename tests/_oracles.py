@@ -14,6 +14,19 @@ import operator
 from collections import deque
 
 
+def parts(cuts):
+    """The composition of n, as a plain tuple, cut after each i whose
+    entry ``cuts[i - 1]`` is true, for ``cuts`` of length n - 1."""
+    out, size = [], 1
+    for cut in cuts:
+        if cut:
+            out.append(size)
+            size = 1
+        else:
+            size += 1
+    return tuple(out + [size])
+
+
 def filter_left_reps(n, members):
     """All of S_n passing the ascent test, by exhaustive filtering."""
     out = []

@@ -1,10 +1,8 @@
-"""The kernels in ``descents.backend`` against the brute-force oracles.
+"""The kernels in ``descents.backend``, and the margin tables that
+``combinatorics.contingency_tables`` lists, against the brute-force oracles.
 
-Each kernel is checked against ``tests/_oracles.py``, which shares no code
-with it, together with its overflow, range, margin and order contracts.
-The ``enumerate_tables`` tests keep the name of the walk that listed the
-margin tables here before ``combinatorics.contingency_tables`` took it
-over; they check ``contingency_tables`` on ``Composition`` margins.
+Each is checked against ``tests/_oracles.py``, which shares no code with
+it, together with its overflow, range, margin and order contracts.
 """
 
 import ast
@@ -22,7 +20,7 @@ from descents import (Composition, backend, combinatorics,
                       contingency_tables, reading_multinomial_sum)
 
 from _oracles import (brute_tables, filter_left_reps, image_tuples,
-                      naive_convolve)
+                      naive_convolve, parts)
 
 
 def random_items(n, count, rng, lo=-9, hi=9):
@@ -195,26 +193,21 @@ TABLE_CASES = [
     ((1, 1, 1, 1), (2, 2)),
     ((5,), (2, 3)),
     ((2, 1, 3), (1, 2, 2, 1)),
+    ((2, 3), (5,)),
 ]
 
 
-def compositions(n):
-    """Compositions of ``n``, one per set of cut points."""
-    for cuts in itertools.product((False, True), repeat=n - 1):
-        parts, size = [], 1
-        for cut in cuts:
-            if cut:
-                parts.append(size)
-                size = 1
-            else:
-                size += 1
-        yield tuple(parts + [size])
+def cut_compositions(n):
+    """The compositions of ``n`` as plain tuples, one per set of cut
+    points."""
+    return [parts(cuts)
+            for cuts in itertools.product((False, True), repeat=n - 1)]
 
 
 # every ordered composition pair with n <= 4 (85 pairs) joins the
 # hand-picked cases
-SMALL_PAIRS = [(nu, kappa) for n in range(1, 5)
-               for nu in compositions(n) for kappa in compositions(n)]
+SMALL_PAIRS = [pair for n in range(1, 5)
+               for pair in itertools.product(cut_compositions(n), repeat=2)]
 PARITY_CASES = TABLE_CASES + [c for c in SMALL_PAIRS if c not in TABLE_CASES]
 
 
@@ -235,18 +228,10 @@ def tables(nu, kappa):
 
 
 @pytest.mark.parametrize("nu,kappa", PARITY_CASES)
-def test_enumerate_tables_parity_and_brute_force(nu, kappa):
+def test_contingency_tables_match_brute_force(nu, kappa):
     got = tables(nu, kappa)
     assert set(got) == brute_tables(nu, kappa)
     assert len(set(got)) == len(got)
-
-
-@pytest.mark.parametrize("nu,kappa", PARITY_CASES)
-def test_enumerate_tables_order(nu, kappa):
-    # emission order: flattened row-major entries, lexicographically
-    # decreasing
-    flat = [tuple(v for row in t for v in row) for t in tables(nu, kappa)]
-    assert flat == sorted(flat, reverse=True)
 
 
 def test_row_fillings_cache_is_shared_bounded_and_read_only():
@@ -273,7 +258,7 @@ def test_row_fillings_cache_is_shared_bounded_and_read_only():
     assert row_fillings.cache_info().misses == misses
 
 
-def test_enumerate_tables_lists_each_table_once_in_decreasing_order():
+def test_contingency_tables_list_each_table_once_in_decreasing_order():
     # one test over every ordered composition pair with n <= 6: the tables
     # read row-major are strictly decreasing, so none repeats
     pairs = 0
@@ -290,7 +275,7 @@ def test_enumerate_tables_lists_each_table_once_in_decreasing_order():
     assert pairs == 1365
 
 
-def test_enumerate_tables_margin_validation():
+def test_reading_word_counts_margin_validation():
     # the tables' margins are Compositions, checked by their constructor
     # and by contingency_tables; the sweep takes plain tuples and checks
     # them itself, and their degree against n
@@ -383,7 +368,7 @@ def test_row_cache_is_bounded():
     # the forced last row is never looked up, so a full n=7 sweep reaches
     # (7 - 2) * 2**7 + 2 keys
     backend._merged_row.cache_clear()
-    comps = list(compositions(7))
+    comps = cut_compositions(7)
     for kappa in comps:
         for nu in comps:
             backend.reading_word_counts(nu, kappa, 7)
@@ -403,10 +388,9 @@ def test_sweep_never_looks_up_the_forced_last_row(monkeypatch):
 
     monkeypatch.setattr(backend, "_merged_row", watched)
     for n in range(1, 7):
-        for nu in compositions(n):
-            for kappa in compositions(n):
-                assert (backend.reading_word_counts(nu, kappa, n)
-                        == brute_reading_word_counts(nu, kappa)), (nu, kappa)
+        for nu, kappa in itertools.product(cut_compositions(n), repeat=2):
+            assert (backend.reading_word_counts(nu, kappa, n)
+                    == brute_reading_word_counts(nu, kappa)), (nu, kappa)
     assert forced == []
 
 

@@ -14,9 +14,7 @@ from descents import (
     MarginMatrix,
     OrderedPresentation,
     Permutation,
-    algebra,
     all_generator_subsets,
-    backend,
     contingency_tables,
     counting_identity_holds,
     enumerate_double_set,
@@ -30,6 +28,7 @@ from descents import (
     verify_subset_pair,
 )
 
+from conftest import patch_kernel
 from _oracles import (
     breadth_first_components,
     filter_left_reps,
@@ -50,29 +49,12 @@ def test_is_left_rep_matches_filter():
             assert got == want
 
 
-def test_enumerate_left_reps_matches_filter():
-    for n in range(1, 7):
-        for k in all_generator_subsets(n):
-            reps = list(enumerate_left_reps(k))
-            assert reps == filter_left_reps(n, k.members)
-
-
 def test_enumerate_left_reps_is_sorted():
     # the filter oracle emits lexicographic order by construction; also
     # check it explicitly for one mid-sized case
     k = GeneratorSubset(7, {1, 2, 5})
     reps = list(enumerate_left_reps(k))
     assert reps == sorted(reps)
-
-
-def test_left_rep_count_is_multinomial():
-    for n in range(1, 7):
-        for k in all_generator_subsets(n):
-            parts = subset_to_composition(k)
-            want = math.factorial(n)
-            for p in parts:
-                want //= math.factorial(p)
-            assert sum(1 for _ in enumerate_left_reps(k)) == want
 
 
 def test_enumerate_left_reps_bound():
@@ -88,10 +70,7 @@ def test_rep_images_cache_is_bounded():
     cache.cache_clear()
     for n in range(1, 8):
         for k in all_generator_subsets(n):
-            want = math.factorial(n)
-            for p in subset_to_composition(k):
-                want //= math.factorial(p)
-            assert sum(1 for _ in enumerate_left_reps(k)) == want
+            descents.cosets._rep_images(n, k.mask)
     info = cache.cache_info()
     # all 127 compositions through n=7 stay cached, within the bound
     assert info.currsize == 127
@@ -291,12 +270,6 @@ def double_set_images():
     return images
 
 
-def test_intersection_table_bijective_onto_margin_matrices(double_set_images):
-    for pair, image, listed in double_set_images:
-        assert len(set(image)) == len(image), ("table repeated", pair)
-        assert set(image) == set(listed), pair
-
-
 def test_double_set_meets_the_tables_in_listing_order(double_set_images):
     # walked in lexicographic order, the double set hits the margin
     # matrices in the descending row-major order contingency_tables lists
@@ -358,18 +331,6 @@ def test_presentation_subgroup_matches_young_oracle():
             got = {p
                    for p in descents.cosets._presentation_subgroup(blocks)}
             assert got == set(young_subgroup(n, k.members))
-
-
-def test_verify_subset_pair_passes_everywhere_small():
-    for n in range(1, 5):
-        for j in all_generator_subsets(n):
-            for k in all_generator_subsets(n):
-                report = verify_subset_pair(j, k)
-                assert report.passed
-                assert report.failure_count == 0
-                assert "parabolic" in report.checks
-                assert report.witnesses == sum(
-                    1 for _ in enumerate_double_set(j, k))
 
 
 def test_lemma_certifies_every_product_of_degree_7():
@@ -524,30 +485,12 @@ def test_verify_pair_names_a_wrong_reading_word(monkeypatch):
     ]
 
 
-def _patch_kernel(monkeypatch, request, rows, cols, moves):
-    """Make the table route's sweep add ``moves[word]`` to each word's
-    count for the margins ``rows`` and ``cols``, a kernel fault in the
-    product B(cols)·B(rows); products are cleared before and after."""
-    real = backend.reading_word_counts
-
-    def faulty(row_margins, col_margins, n):
-        counts = real(row_margins, col_margins, n)
-        if (row_margins, col_margins) == (rows, cols):
-            for word, delta in moves.items():
-                counts[word] = counts.get(word, 0) + delta
-        return {word: c for word, c in counts.items() if c}
-
-    monkeypatch.setattr(backend, "reading_word_counts", faulty)
-    algebra._solomon.cache_clear()
-    request.addfinalizer(algebra._solomon.cache_clear)
-
-
 def test_verify_pair_names_a_dropped_table(capsys, monkeypatch, request):
     # one of the two tables of B(2,1,2)·B(1,2,2) with reading word
     # 1,1,1,2 is dropped: the lemma scope, run alone or with the parabolic
     # check, fails on that pair only, through the product
-    _patch_kernel(monkeypatch, request, (1, 2, 2), (2, 1, 2),
-                  {(1, 1, 1, 2): -1})
+    patch_kernel(monkeypatch, request, (1, 2, 2), (2, 1, 2),
+                 {(1, 1, 1, 2): -1})
     for scope in ("--lemma", "--parabolic"):
         assert descents.cli.main(["verify", "5", scope]) == 1
         assert "failures=1)" in capsys.readouterr().out
@@ -564,8 +507,8 @@ def test_verify_pair_names_a_refiled_count(monkeypatch, request):
     # one count of B(4,1,1,1)·B(4,3) moves from 4,1,1,1 to 3,2,2, whose
     # multinomials are equal: the counting identity still holds, and the
     # product check names both words
-    _patch_kernel(monkeypatch, request, (4, 3), (4, 1, 1, 1),
-                  {(4, 1, 1, 1): -1, (3, 2, 2): 1})
+    patch_kernel(monkeypatch, request, (4, 3), (4, 1, 1, 1),
+                 {(4, 1, 1, 1): -1, (3, 2, 2): 1})
     kappa, nu = Composition((4, 1, 1, 1)), Composition((4, 3))
     assert counting_identity_holds(kappa, nu, max_degree=7)
     report = verify_subset_pair(GeneratorSubset(7, {1, 2, 3}),

@@ -26,21 +26,9 @@ from descents import (
     verify_subset_pair,
 )
 
-from _oracles import breadth_first_components, subset_edges
+from _oracles import breadth_first_components, parts, subset_edges
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
-
-
-def parts(cuts):
-    """The composition whose cut points are the true entries of ``cuts``."""
-    out, size = [], 1
-    for cut in cuts:
-        if cut:
-            out.append(size)
-            size = 1
-        else:
-            size += 1
-    return tuple(out + [size])
 
 
 def cut_lists(n):
