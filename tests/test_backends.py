@@ -3,6 +3,9 @@
 
 Each is checked against ``tests/_oracles.py``, which shares no code with
 it, together with its overflow, range, margin and order contracts.
+The ``enumerate_tables`` tests keep the name of the walk that listed the
+margin tables here before ``combinatorics.contingency_tables`` took it
+over, so their case ids stay stable.
 """
 
 import ast
@@ -228,10 +231,18 @@ def tables(nu, kappa):
 
 
 @pytest.mark.parametrize("nu,kappa", PARITY_CASES)
-def test_contingency_tables_match_brute_force(nu, kappa):
+def test_enumerate_tables_parity_and_brute_force(nu, kappa):
     got = tables(nu, kappa)
     assert set(got) == brute_tables(nu, kappa)
     assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("nu,kappa", PARITY_CASES)
+def test_enumerate_tables_order(nu, kappa):
+    # emission order: flattened row-major entries, lexicographically
+    # decreasing
+    flat = [tuple(v for row in t for v in row) for t in tables(nu, kappa)]
+    assert flat == sorted(flat, reverse=True)
 
 
 def test_row_fillings_cache_is_shared_bounded_and_read_only():
@@ -258,7 +269,7 @@ def test_row_fillings_cache_is_shared_bounded_and_read_only():
     assert row_fillings.cache_info().misses == misses
 
 
-def test_contingency_tables_list_each_table_once_in_decreasing_order():
+def test_enumerate_tables_lists_each_table_once_in_decreasing_order():
     # one test over every ordered composition pair with n <= 6: the tables
     # read row-major are strictly decreasing, so none repeats
     pairs = 0
